@@ -13,13 +13,13 @@ import sys
 
 from .config import ConfigError, load_grid_config_file
 from .diffusion import DiffusionTrace
-from .experiment import (derive_rng, estimate_tsn, read_records_csv, run_grid,
+from .experiment import (GridSpec, read_records_csv, run_config, run_grid,
                          summarize, write_records_csv, write_scatter_csv,
                          write_summary_csv)
 from .graphs import (GraphParseError, ParameterError, generate_ba, generate_er,
                      load_edge_list, serialize)
 from .ranking import RankingMethod, rank, write_ranking_csv
-from .strategies import StrategySpec, run_strategy, seed_count
+from .strategies import StrategySpec
 
 DEFAULT_SEED = 1729
 
@@ -74,42 +74,34 @@ def _trace_csv(trace: DiffusionTrace, out) -> None:
 
 
 def cmd_simulate(args) -> int:
+    """Run one configuration as a one-config grid, so its runs are the grid's
+    records for the graph named after the file's stem."""
     g = _load_graph(args.graph)
     spec = StrategySpec.parse(args.strategy, k=args.k, t_sn=args.t_sn)
     method = RankingMethod.from_string(args.ranking)
-    master = _seed_from(args)
-    ranking = rank(g, method, derive_rng(master, "ranking"))
-    n = seed_count(g, args.sp)
+    name = os.path.splitext(os.path.basename(args.graph))[0]
+    grid = GridSpec([(name, g)], [args.pp], [args.sp], [method], [spec],
+                    args.runs, _seed_from(args))
+    out = run_config(grid, name, g, args.pp, args.sp, method)
+    if spec.kind.startswith("SQ_TSN") and spec.t_sn is None:
+        print(f"derived t_sn = {out.t_sn} from {args.runs} SN reference runs")
 
-    t_sn = spec.t_sn
-    if spec.kind.startswith("SQ_TSN") and t_sn is None:
-        t_sn = estimate_tsn(g, ranking, n, args.pp, args.runs,
-                            derive_rng(master, "tsn-reference"))
-        print(f"derived t_sn = {t_sn} from {args.runs} SN reference runs")
-
+    traces = list(out.runs[-1][1])
     os.makedirs(args.out_dir, exist_ok=True)
-    coverages, durations = [], []
-    max_step = 0
-    curves = []
-    for run_id in range(args.runs):
-        rng = derive_rng(master, spec.label, run_id)
-        trace = run_strategy(g, ranking, spec, n, args.pp, rng, t_sn=t_sn)
-        coverages.append(trace.coverage)
-        durations.append(trace.duration)
-        curves.append(trace)
-        max_step = max(max_step, trace.entries[-1].step if trace.entries else 0)
+    for run_id, trace in enumerate(traces):
         with open(os.path.join(args.out_dir, f"trace_{run_id:04d}.csv"),
                   "w", encoding="utf-8") as fh:
             _trace_csv(trace, fh)
+    max_step = max(t.entries[-1].step if t.entries else 0 for t in traces)
     with open(os.path.join(args.out_dir, "mean_curve.csv"), "w",
               encoding="utf-8") as fh:
         fh.write("step,mean_cumulative_coverage\n")
         for step in range(max_step + 1):
-            mean = sum(t.cumulative_at(step) for t in curves) / len(curves)
+            mean = sum(t.cumulative_at(step) for t in traces) / len(traces)
             fh.write(f"{step},{mean:.6g}\n")
-    mean_c = sum(coverages) / len(coverages)
-    mean_t = sum(durations) / len(durations)
-    print(f"{spec.label} on {args.graph}: n={n}, pp={args.pp:g}, "
+    mean_c = sum(t.coverage for t in traces) / len(traces)
+    mean_t = sum(t.duration for t in traces) / len(traces)
+    print(f"{spec.label} on {args.graph}: n={out.n}, pp={args.pp:g}, "
           f"runs={args.runs}")
     print(f"mean coverage {mean_c:.6g}, mean duration {mean_t:.6g}")
     return 0

@@ -61,10 +61,6 @@ class DiffusionState:
         self.forfeited = 0
         self.attempt_log: Optional[List[Tuple[int, int]]] = None
 
-    @property
-    def active(self) -> set:
-        return {v for v in range(len(self.flags)) if self.flags[v]}
-
     def trace(self) -> DiffusionTrace:
         return DiffusionTrace(self.entries if self.entries is not None else [],
                               self.active_count, self.last_activity,

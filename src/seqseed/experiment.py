@@ -11,13 +11,14 @@ import hashlib
 import math
 import random
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
+from .diffusion import DiffusionTrace
 from .graphs import Graph, ParameterError
 from .ranking import Ranking, RankingMethod, method_scores, rank
 from .stats import hodges_lehmann, wilcoxon_signed_rank
-from .strategies import StrategySpec, run_sn, run_strategy, seed_count
+from .strategies import StrategySpec, run_strategy, seed_count
 
 
 def derive_rng(master_seed: int, *keys) -> random.Random:
@@ -56,6 +57,21 @@ class GridSpec:
                 for sp in self.sp_values
                 for method in self.rankings]
 
+    def check_budgets(self) -> None:
+        """Reject an SQ_kPS* k above the seed budget of any configuration.
+
+        Not done on construction: a spec may be built on stand-in graphs to
+        validate a config's schema alone."""
+        if not (self.graphs and self.sp_values):
+            return
+        n, name, sp = min((seed_count(g, sp), name, sp)
+                          for name, g in self.graphs for sp in self.sp_values)
+        for strat in self.strategies:
+            if strat.k is not None and strat.k > n:
+                raise ParameterError(
+                    f"strategy {strat.label}: k={strat.k} exceeds the seed "
+                    f"budget n={n} of graph {name} at sp={sp:g}")
+
 
 def config_id(graph_name: str, pp: float, sp: float, method: RankingMethod) -> str:
     return f"{graph_name}|pp={pp:g}|sp={sp:g}|{method.value}"
@@ -80,21 +96,36 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def estimate_tsn(graph: Graph, ranking: Ranking, n: int, pp: float,
-                 replications: int, rng) -> int:
-    """Reference duration: clamped rounded mean SN duration over replications."""
-    if replications < 1:
-        raise ParameterError("replications must be >= 1")
-    durations = []
-    for _ in range(replications):
-        sub = random.Random(rng.getrandbits(64))
-        durations.append(run_sn(graph, ranking, n, pp, sub).duration)
-    return max(1, _round_half_up(sum(durations) / len(durations)))
+_SN = StrategySpec("SN")  # built once for every SN block
 
 
-def _run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
-                sp: float, method: RankingMethod,
-                score_cache: Optional[Dict] = None) -> List[RunRecord]:
+@dataclass
+class ConfigRuns:
+    """One configuration's runs per strategy label, the SN block first.
+
+    `t_sn` is the SN block's rounded mean duration, clamped to >= 1. The SN
+    traces are a list; every other strategy's traces are computed as they
+    are iterated, once, so a caller can drop each trace when done with it.
+    """
+    config_id: str
+    n: int
+    t_sn: int
+    runs: List[Tuple[str, Iterable[DiffusionTrace]]]
+
+
+def _replicate(spec: GridSpec, cid: str, graph: Graph, ranking: Ranking,
+               strat: StrategySpec, n: int, pp: float,
+               t_sn: Optional[int] = None) -> Iterator[DiffusionTrace]:
+    for r in range(spec.replications):
+        yield run_strategy(graph, ranking, strat, n, pp,
+                           derive_rng(spec.master_seed, cid, strat.label, r),
+                           t_sn=t_sn)
+
+
+def run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
+               sp: float, method: RankingMethod,
+               score_cache: Optional[Dict] = None) -> ConfigRuns:
+    """Rank, run the SN block, derive t_sn from it, then run the strategies."""
     cid = config_id(graph_name, pp, sp, method)
     n = seed_count(graph, sp)
     rank_rng = derive_rng(spec.master_seed, cid, "ranking")
@@ -107,37 +138,37 @@ def _run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
         scores = score_cache[key]
     ranking = rank(graph, method, rank_rng, scores=scores)
 
-    reps = spec.replications
-    sn_traces = [run_sn(graph, ranking, n, pp, derive_rng(spec.master_seed, cid, "SN", r))
-                 for r in range(reps)]
-    mean_c_sn = sum(t.coverage for t in sn_traces) / reps
-    mean_t_sn = sum(t.duration for t in sn_traces) / reps
-    t_sn = max(1, _round_half_up(mean_t_sn))
-
-    records: List[RunRecord] = []
-
-    def emit(strategy_label: str, run_id: int, trace) -> None:
-        records.append(RunRecord(
-            cid, graph_name, pp, sp, method.value, strategy_label, run_id,
-            trace.coverage, trace.duration,
-            trace.first_step_reaching(mean_c_sn),
-            trace.cumulative_at(t_sn)))
-
-    for r, t in enumerate(sn_traces):
-        emit("SN", r, t)
+    sn_traces = list(_replicate(spec, cid, graph, ranking, _SN, n, pp))
+    t_sn = max(1, _round_half_up(
+        sum(t.duration for t in sn_traces) / len(sn_traces)))
+    runs = [("SN", sn_traces)]
     for strat in spec.strategies:
-        if strat.kind == "SN":
-            continue  # baseline already emitted
-        for r in range(reps):
-            rng = derive_rng(spec.master_seed, cid, strat.label, r)
-            trace = run_strategy(graph, ranking, strat, n, pp, rng, t_sn=t_sn)
-            emit(strat.label, r, trace)
-    return records
+        if strat.kind != "SN":  # the baseline block above
+            runs.append((strat.label, _replicate(spec, cid, graph, ranking,
+                                                 strat, n, pp, t_sn)))
+    return ConfigRuns(cid, n, t_sn, runs)
+
+
+def _run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
+                sp: float, method: RankingMethod,
+                score_cache: Optional[Dict] = None) -> List[RunRecord]:
+    out = run_config(spec, graph_name, graph, pp, sp, method, score_cache)
+    sn_traces = out.runs[0][1]
+    mean_c_sn = sum(t.coverage for t in sn_traces) / len(sn_traces)
+    return [RunRecord(out.config_id, graph_name, pp, sp, method.value, label,
+                      r, trace.coverage, trace.duration,
+                      trace.first_step_reaching(mean_c_sn),
+                      trace.cumulative_at(out.t_sn))
+            for label, traces in out.runs for r, trace in enumerate(traces)]
 
 
 def run_grid(spec: GridSpec, jobs: int = 1,
              errstream: TextIO = sys.stderr) -> List[RunRecord]:
-    """Run the full grid; a failing configuration is reported and skipped."""
+    """Run the full grid; a failing configuration is reported and skipped.
+
+    A k that some configuration's budget cannot hold fails the whole grid
+    before any run."""
+    spec.check_budgets()
     graphs = dict(spec.graphs)
     records: List[RunRecord] = []
     score_cache: Dict = {}

@@ -1,14 +1,14 @@
 """Node rankings used for seed selection: R, D, D2, PR, EV.
 
-Rankings are computed once on the initial network; sequential strategies only
-pick from them dynamically via `top_inactive`.
+Rankings are computed once on the initial network; sequential strategies pick
+from them dynamically, taking the best nodes still inactive at each stage.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional
 
 from .graphs import Graph
 
@@ -149,19 +149,6 @@ def rank(graph: Graph, method: RankingMethod, rng,
     rng.shuffle(tiebreak)
     order = sorted(range(n), key=lambda v: (-score[v], tiebreak[v]))
     return Ranking(method, order, score)
-
-
-def top_inactive(ranking: Ranking, active: Set[int], k: int) -> List[int]:
-    """First min(k, #inactive) nodes of the ranking not yet active."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = []
-    for v in ranking.order:
-        if len(out) == k:
-            break
-        if v not in active:
-            out.append(v)
-    return out
 
 
 def write_ranking_csv(graph: Graph, ranking: Ranking, out) -> None:

@@ -86,165 +86,120 @@ def _check_budget(graph: Graph, n: int) -> None:
         raise ParameterError(f"need 1 <= n <= {graph.node_count}, got {n}")
 
 
-def run_sn(graph: Graph, ranking: Ranking, n: int, pp: float, rng) -> DiffusionTrace:
-    """Single stage: inject the top n ranked nodes at step 0, then diffuse."""
-    _check_budget(graph, n)
-    state = DiffusionState(graph)
-    batch, _ = _next_batch(ranking, state, 0, n)
-    activate_seeds(state, batch)
-    run_until_stop(state, graph, pp, rng)
-    return state.trace()
-
-
-def run_sq_kps(graph: Graph, ranking: Ranking, n: int, k: int, pp: float,
-               rng) -> DiffusionTrace:
-    """k seeds per stage, one diffusion step per stage, free tail diffusion."""
-    _check_budget(graph, n)
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}")
-    state = DiffusionState(graph)
-    cursor = 0
-    remaining = n
-    while remaining:
-        batch, cursor = _next_batch(ranking, state, cursor, min(k, remaining))
-        if not batch:
-            state.forfeited = remaining
-            break
-        activate_seeds(state, batch)
-        remaining -= len(batch)
-        if remaining:
-            ic_step(state, graph, pp, rng)
-    run_until_stop(state, graph, pp, rng)
-    return state.trace()
-
-
-def run_sq_kps_r(graph: Graph, ranking: Ranking, n: int, k: int, pp: float,
-                 rng) -> DiffusionTrace:
-    """k seeds per stage with revival: reseed only once diffusion has stopped."""
-    _check_budget(graph, n)
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}")
-    state = DiffusionState(graph)
-    cursor = 0
-    remaining = n
-    while remaining:
-        batch, cursor = _next_batch(ranking, state, cursor, min(k, remaining))
-        if not batch:
-            state.forfeited = remaining
-            break
-        activate_seeds(state, batch)
-        remaining -= len(batch)
-        run_until_stop(state, graph, pp, rng)
-    return state.trace()
-
-
-def run_sq_kps_b(graph: Graph, ranking: Ranking, n: int, k: int, pp: float,
-                 rng) -> DiffusionTrace:
-    """k per stage with buffering.
-
-    Walks the initial top-n list at k entries per step; entries that diffusion
-    already activated are banked instead of spent. Banked budget is spent on
-    the best still-inactive nodes once diffusion terminates.
-    """
-    _check_budget(graph, n)
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}")
-    state = DiffusionState(graph)
-    schedule = ranking.order[:n]
-    buffer = 0
-    idx = 0
-    while idx < n:
-        chunk = schedule[idx:idx + k]
-        idx += k
-        batch = [v for v in chunk if not state.flags[v]]
-        buffer += len(chunk) - len(batch)
-        if batch:
-            activate_seeds(state, batch)
-        ic_step(state, graph, pp, rng)
-    run_until_stop(state, graph, pp, rng)
-    cursor = 0
-    while buffer:
-        batch, cursor = _next_batch(ranking, state, cursor, buffer)
-        if not batch:
-            state.forfeited = buffer
-            break
-        activate_seeds(state, batch)
-        buffer -= len(batch)
-        run_until_stop(state, graph, pp, rng)
-    return state.trace()
-
-
 def _stage_sizes(n: int, stages: int) -> List[int]:
     # remainder seeds go to the earliest stages
     base, rem = divmod(n, stages)
     return [base + 1] * rem + [base] * (stages - rem)
 
 
+def _plan(spec: StrategySpec, n: int, t_sn: Optional[int]) -> List[int]:
+    """Seeds per stage: the whole budget cut the way the spec's kind cuts it."""
+    if spec.kind == "SN":
+        return [n]
+    if spec.kind.startswith("SQ_kPS"):
+        if not 1 <= spec.k <= n:
+            raise ParameterError(f"need 1 <= k <= n, got k={spec.k}")
+        sizes = [spec.k] * (n // spec.k)
+        return sizes + [n % spec.k] if n % spec.k else sizes
+    ref = spec.t_sn if spec.t_sn is not None else t_sn
+    if ref is None:
+        raise ParameterError(f"{spec.kind} needs a reference t_sn")
+    if ref < 1:
+        raise ParameterError("t_sn must be >= 1")
+    # fewer seeds than stages: one seed per stage, as SQ_1PS
+    return _stage_sizes(n, ref) if n >= ref else [1] * n
+
+
+def _run_stages(graph: Graph, ranking: Ranking, state: DiffusionState,
+                sizes: List[int], until_stop: bool, pp: float, rng) -> int:
+    """Inject each stage's best inactive nodes, then wait one step or until
+    diffusion stops; returns the seeds spent.
+
+    A short batch means every node is active, so the later stages forfeit.
+    Waiting one step after the last stage is the first step of the free tail.
+    """
+    wait = run_until_stop if until_stop else ic_step
+    cursor = 0
+    spent = 0
+    for size in sizes:
+        batch, cursor = _next_batch(ranking, state, cursor, size)
+        activate_seeds(state, batch)
+        spent += len(batch)
+        wait(state, graph, pp, rng)
+        if len(batch) < size:
+            break
+    run_until_stop(state, graph, pp, rng)
+    return spent
+
+
+def _run_buffered(graph: Graph, ranking: Ranking, state: DiffusionState,
+                  sizes: List[int], n: int, pp: float, rng) -> int:
+    """Walk the initial top-n list one stage per step, banking every entry
+    that diffusion already activated; spend the bank on the best inactive
+    nodes once diffusion stops."""
+    schedule = ranking.order[:n]
+    flags = state.flags
+    start = 0
+    spent = 0
+    for size in sizes:
+        batch = [v for v in schedule[start:start + size] if not flags[v]]
+        start += size
+        activate_seeds(state, batch)
+        spent += len(batch)
+        ic_step(state, graph, pp, rng)
+    run_until_stop(state, graph, pp, rng)
+    return spent + _run_stages(graph, ranking, state, [n - spent], True, pp, rng)
+
+
+def run_strategy(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
+                 pp: float, rng, t_sn: Optional[int] = None) -> DiffusionTrace:
+    """Run a StrategySpec; TSN variants take t_sn from the spec or the arg.
+
+    Every kind is a list of stage sizes plus a wait mode: one diffusion step
+    per stage, or (`_R`) until diffusion stops. `_B` adds buffering.
+    """
+    _check_budget(graph, n)
+    sizes = _plan(spec, n, t_sn)
+    state = DiffusionState(graph)
+    if spec.kind == "SQ_kPS_B":
+        spent = _run_buffered(graph, ranking, state, sizes, n, pp, rng)
+    else:
+        spent = _run_stages(graph, ranking, state, sizes,
+                            spec.kind.endswith("_R"), pp, rng)
+    state.forfeited = n - spent
+    return state.trace()
+
+
+def run_sn(graph: Graph, ranking: Ranking, n: int, pp: float, rng) -> DiffusionTrace:
+    """Single stage: inject the top n ranked nodes at step 0, then diffuse."""
+    return run_strategy(graph, ranking, StrategySpec("SN"), n, pp, rng)
+
+
+def run_sq_kps(graph: Graph, ranking: Ranking, n: int, k: int, pp: float,
+               rng) -> DiffusionTrace:
+    """k seeds per stage, one diffusion step per stage, free tail diffusion."""
+    return run_strategy(graph, ranking, StrategySpec("SQ_kPS", k=k), n, pp, rng)
+
+
+def run_sq_kps_r(graph: Graph, ranking: Ranking, n: int, k: int, pp: float,
+                 rng) -> DiffusionTrace:
+    """k seeds per stage with revival: reseed only once diffusion has stopped."""
+    return run_strategy(graph, ranking, StrategySpec("SQ_kPS_R", k=k), n, pp, rng)
+
+
+def run_sq_kps_b(graph: Graph, ranking: Ranking, n: int, k: int, pp: float,
+                 rng) -> DiffusionTrace:
+    """k per stage with buffering: already-active schedule entries are banked."""
+    return run_strategy(graph, ranking, StrategySpec("SQ_kPS_B", k=k), n, pp, rng)
+
+
 def run_sq_tsn(graph: Graph, ranking: Ranking, n: int, t_sn: int, pp: float,
                rng) -> DiffusionTrace:
     """T_SN stages of ~n/T_SN seeds at steps 0..T_SN-1; SQ_1PS when n < T_SN."""
-    _check_budget(graph, n)
-    if t_sn < 1:
-        raise ParameterError("t_sn must be >= 1")
-    if n < t_sn:
-        return run_sq_kps(graph, ranking, n, 1, pp, rng)
-    sizes = _stage_sizes(n, t_sn)
-    state = DiffusionState(graph)
-    cursor = 0
-    spent = 0
-    for i, size in enumerate(sizes):
-        batch, cursor = _next_batch(ranking, state, cursor, size)
-        if batch:
-            activate_seeds(state, batch)
-            spent += len(batch)
-        if len(batch) < size:
-            state.forfeited = n - spent
-            break
-        if i < len(sizes) - 1:
-            ic_step(state, graph, pp, rng)
-    run_until_stop(state, graph, pp, rng)
-    return state.trace()
+    return run_strategy(graph, ranking, StrategySpec("SQ_TSN", t_sn=t_sn), n, pp, rng)
 
 
 def run_sq_tsn_r(graph: Graph, ranking: Ranking, n: int, t_sn: int, pp: float,
                  rng) -> DiffusionTrace:
     """Same allocation as SQ_TSN, but each stage waits for diffusion to stop."""
-    _check_budget(graph, n)
-    if t_sn < 1:
-        raise ParameterError("t_sn must be >= 1")
-    if n < t_sn:
-        return run_sq_kps_r(graph, ranking, n, 1, pp, rng)
-    sizes = _stage_sizes(n, t_sn)
-    state = DiffusionState(graph)
-    cursor = 0
-    spent = 0
-    for size in sizes:
-        batch, cursor = _next_batch(ranking, state, cursor, size)
-        if batch:
-            activate_seeds(state, batch)
-            spent += len(batch)
-        if len(batch) < size:
-            state.forfeited = n - spent
-            break
-        run_until_stop(state, graph, pp, rng)
-    run_until_stop(state, graph, pp, rng)
-    return state.trace()
-
-
-def run_strategy(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
-                 pp: float, rng, t_sn: Optional[int] = None) -> DiffusionTrace:
-    """Dispatch a StrategySpec; TSN variants take t_sn from the spec or arg."""
-    if spec.kind == "SN":
-        return run_sn(graph, ranking, n, pp, rng)
-    if spec.kind == "SQ_kPS":
-        return run_sq_kps(graph, ranking, n, spec.k, pp, rng)
-    if spec.kind == "SQ_kPS_R":
-        return run_sq_kps_r(graph, ranking, n, spec.k, pp, rng)
-    if spec.kind == "SQ_kPS_B":
-        return run_sq_kps_b(graph, ranking, n, spec.k, pp, rng)
-    ref = spec.t_sn if spec.t_sn is not None else t_sn
-    if ref is None:
-        raise ParameterError(f"{spec.kind} needs a reference t_sn")
-    if spec.kind == "SQ_TSN":
-        return run_sq_tsn(graph, ranking, n, ref, pp, rng)
-    return run_sq_tsn_r(graph, ranking, n, ref, pp, rng)
+    return run_strategy(graph, ranking, StrategySpec("SQ_TSN_R", t_sn=t_sn), n, pp, rng)

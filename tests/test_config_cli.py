@@ -5,7 +5,8 @@ import pytest
 
 from seqseed.cli import main
 from seqseed.config import ConfigError, load_grid_config
-from seqseed.graphs import load_edge_list
+from seqseed.experiment import run_grid
+from seqseed.graphs import ParameterError, load_edge_list
 
 
 def run_cli(argv, capsys):
@@ -23,6 +24,11 @@ GRID_CONFIG = {
     "rankings": ["degree"],
     "strategies": ["SN", "SQ_1PS_R", {"kind": "SQ_TSN"}],
 }
+
+# 200 nodes at sp = 0.01 give a budget of n = 2 seeds, below k = 3
+K_ABOVE_BUDGET_CONFIG = dict(
+    GRID_CONFIG, graphs=[{"name": "ba", "type": "ba", "n": 200, "m": 2, "seed": 3}],
+    sp=[0.01, 0.05], strategies=["SN", "SQ_3PS_R"])
 
 
 class TestConfigLoading:
@@ -50,6 +56,11 @@ class TestConfigLoading:
         bad = dict(GRID_CONFIG, rankings=["closeness"])
         with pytest.raises(ConfigError, match="rankings"):
             load_grid_config(bad)
+
+    def test_k_above_seed_budget_rejected(self):
+        spec = load_grid_config(K_ABOVE_BUDGET_CONFIG)
+        with pytest.raises(ParameterError, match=r"SQ_3PS_R: k=3 .* n=2 "):
+            run_grid(spec)
 
 
 class TestGen:
@@ -113,6 +124,35 @@ class TestSimulate:
         assert code == 0
         assert "derived t_sn" in out
 
+    @pytest.mark.parametrize("strategy", ["SN", "SQ_2PS_B", "SQ_TSN_R"])
+    def test_reproduces_grid_records(self, tmp_path, capsys, strategy):
+        gpath = tmp_path / "g.txt"
+        run_cli(["gen", "ba", "--n", "60", "--m", "2", "--seed", "3",
+                 "--out", str(gpath)], capsys)
+        code, out, _ = run_cli(
+            ["simulate", "--graph", str(gpath), "--strategy", strategy,
+             "--ranking", "random", "--sp", "0.1", "--pp", "0.3",
+             "--runs", "4", "--seed", "9",
+             "--out-dir", str(tmp_path / "sim")], capsys)
+        assert code == 0
+        sim_cov = [int(p.read_text().splitlines()[-1].split(",")[3])
+                   for p in sorted((tmp_path / "sim").glob("trace_*.csv"))]
+
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({
+            "master_seed": 9, "replications": 4,
+            "graphs": [{"name": "g", "type": "edgelist", "path": "g.txt"}],
+            "pp": [0.3], "sp": [0.1], "rankings": ["random"],
+            "strategies": [strategy]}))
+        code, _, _ = run_cli(["grid", "--config", str(cfg),
+                              "--out-dir", str(tmp_path / "grid")], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "grid" / "records.csv").read_text().splitlines()[1:]]
+        grid_cov = [int(f[7]) for f in rows if f[5] == strategy]
+        assert sim_cov == grid_cov
+        assert f"mean coverage {sum(grid_cov) / len(grid_cov):.6g}," in out
+
     def test_seeded_runs_identical(self, tmp_path, capsys):
         gpath = tmp_path / "g.txt"
         gpath.write_text("\n".join(f"{i} {i + 1}" for i in range(40)))
@@ -160,6 +200,15 @@ class TestGridAndSummarize:
             assert code == 0
             blobs.append((tmp_path / d / "records.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_k_above_seed_budget_exits_nonzero(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(K_ABOVE_BUDGET_CONFIG))
+        code, _, err = run_cli(["grid", "--config", str(cfg),
+                                "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert "SQ_3PS_R" in err
+        assert not (tmp_path / "out" / "records.csv").exists()
 
     def test_invalid_config_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"

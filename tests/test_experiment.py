@@ -1,13 +1,14 @@
+import hashlib
 import io
 import random
 
 import pytest
 
 from seqseed.experiment import (GridSpec, RunRecord, config_id, derive_rng,
-                                estimate_tsn, read_records_csv, run_grid,
+                                read_records_csv, run_config, run_grid,
                                 summarize, write_records_csv)
 from seqseed.graphs import generate_ba, generate_er, load_edge_list
-from seqseed.ranking import RankingMethod, rank
+from seqseed.ranking import RankingMethod
 from seqseed.strategies import StrategySpec
 
 
@@ -18,21 +19,27 @@ def small_spec(strategies, replications=3, master_seed=11):
                     replications=replications, master_seed=master_seed)
 
 
-class TestEstimateTsn:
+def config_tsn(graph, pp, sp, score_cache=None):
+    """t_sn of a one-config grid: the rounded mean of 5 SN durations."""
+    spec = GridSpec([("g", graph)], [pp], [sp], [RankingMethod.DEGREE],
+                    [StrategySpec("SN")], replications=5, master_seed=2)
+    return run_config(spec, "g", graph, pp, sp, RankingMethod.DEGREE,
+                      score_cache).t_sn
+
+
+class TestConfigTsn:
     def test_pp_zero_clamps_to_one(self):
         g = generate_ba(30, 2, random.Random(1))
-        r = rank(g, RankingMethod.DEGREE, random.Random(0))
-        assert estimate_tsn(g, r, 4, 0.0, 5, random.Random(2)) == 1
+        assert config_tsn(g, 0.0, 0.13) == 1
 
     def test_star_center_pp_one(self, star5):
-        r = rank(star5, RankingMethod.DEGREE, random.Random(0))
-        assert estimate_tsn(star5, r, 1, 1.0, 5, random.Random(2)) == 1
+        assert config_tsn(star5, 1.0, 0.2) == 1
 
     def test_path_end_seed_pp_one(self):
         g = load_edge_list("0 1\n1 2\n2 3\n3 4")
-        r = rank(g, RankingMethod.DEGREE, random.Random(0))
-        r.order = [0, 1, 2, 3, 4]
-        assert estimate_tsn(g, r, 1, 1.0, 5, random.Random(2)) == 4
+        # precomputed scores that rank the end node 0 first
+        cache = {("g", RankingMethod.DEGREE): [5.0, 4.0, 3.0, 2.0, 1.0]}
+        assert config_tsn(g, 1.0, 0.2, cache) == 4
 
 
 class TestRunGrid:
@@ -103,6 +110,42 @@ def test_gain_decreases_with_pp_past_transition():
         return sum(gains) / len(gains)
 
     assert mean_gain(0.25) > mean_gain(0.5)
+
+
+# sha256 of the records CSV of pinned_grid(); a change of it is a change of
+# the program's output bytes
+PINNED_RECORDS_SHA256 = "ac1dec08b56ab19ef078d45c58f1a0d58efa6bf40fbe26732a65ce248fb0f894"
+
+
+def pinned_grid():
+    return GridSpec(
+        graphs=[("ba30", generate_ba(30, 2, random.Random(7))),
+                ("er20", generate_er(20, 0.25, random.Random(3)))],
+        pp_values=[0.3, 1.0], sp_values=[0.1, 0.25],
+        rankings=[RankingMethod.DEGREE, RankingMethod.RANDOM],
+        strategies=[StrategySpec.parse(s) for s in (
+            "SN", "SQ_2PS", "SQ_2PS_R", "SQ_2PS_B", "SQ_TSN", "SQ_TSN_R")],
+        replications=3, master_seed=2024)
+
+
+def test_records_bytes_pinned():
+    """All six kinds, with odd budgets (k = 2 does not divide n = 3 or 5),
+    TSN with n < t_sn, buffering that banks, and saturated pp = 1 configs
+    that forfeit budget."""
+    spec = pinned_grid()
+    graphs = dict(spec.graphs)
+    outs = [run_config(spec, name, graphs[name], pp, sp, method)
+            for name, pp, sp, method in spec.configs()]
+    assert any(out.n % 2 for out in outs)
+    assert any(out.n < out.t_sn for out in outs)
+    forfeits = {label for out in outs for label, traces in out.runs
+                if any(t.forfeited for t in traces)}
+    # buffering forfeits only units it banked and could not spend
+    assert {"SQ_2PS", "SQ_2PS_B", "SQ_TSN_R"} <= forfeits
+    buf = io.StringIO()
+    write_records_csv(run_grid(spec), buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == PINNED_RECORDS_SHA256
 
 
 def make_record(cid, strategy, run_id, coverage, duration=3):

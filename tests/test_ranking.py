@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqseed.graphs import generate_er, load_edge_list
 from seqseed.ranking import (RankingMethod, eigenvector_scores, pagerank_scores,
-                             rank, top_inactive)
+                             rank)
 
 
 def cycle(n):
@@ -149,29 +149,6 @@ def dense_adj(g):
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1.0
     return a
-
-
-class TestTopInactive:
-    def test_basic(self):
-        r = rank(load_edge_list("0 1\n1 2\n2 3"), RankingMethod.DEGREE,
-                 random.Random(0))
-        r.order = [3, 1, 0, 2]
-        assert top_inactive(r, {3}, 2) == [1, 0]
-
-    def test_all_active_empty(self):
-        r = rank(load_edge_list("0 1"), RankingMethod.DEGREE, random.Random(0))
-        assert top_inactive(r, {0, 1}, 5) == []
-
-    def test_no_active_returns_full_order(self):
-        g = generate_er(12, 0.3, random.Random(1))
-        r = rank(g, RankingMethod.DEGREE, random.Random(2))
-        assert top_inactive(r, set(), 12) == r.order
-
-    def test_skips_active_keeps_rank_order(self):
-        g = generate_er(8, 0.4, random.Random(1))
-        r = rank(g, RankingMethod.DEGREE, random.Random(2))
-        active = set(r.order[:3])
-        assert top_inactive(r, active, 2) == r.order[3:5]
 
 
 @settings(max_examples=25, deadline=None)
