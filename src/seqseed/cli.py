@@ -13,9 +13,9 @@ import sys
 
 from .config import ConfigError, load_grid_config_file
 from .diffusion import DiffusionTrace
-from .experiment import (GridSpec, read_records_csv, run_config, run_grid,
-                         summarize, write_records_csv, write_scatter_csv,
-                         write_summary_csv)
+from .experiment import (GridError, GridSpec, read_records_csv, run_config,
+                         run_grid, summarize, write_records_csv,
+                         write_scatter_csv, write_summary_csv)
 from .graphs import (GraphParseError, ParameterError, generate_ba, generate_er,
                      load_edge_list, serialize)
 from .ranking import RankingMethod, rank, write_ranking_csv
@@ -109,8 +109,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_grid(args) -> int:
     spec = load_grid_config_file(args.config)
-    jobs = args.jobs or int(os.environ.get("SEQSEED_JOBS", "1"))
-    records = run_grid(spec, jobs=jobs)
+    records = run_grid(spec, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "records.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -180,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="run a full experiment grid from JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int,
-                   help="parallel workers (default $SEQSEED_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1)")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("summarize", help="aggregate a records CSV")
@@ -196,8 +195,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GraphParseError, ParameterError, ValueError,
-            OSError) as exc:
+    except (ConfigError, GraphParseError, GridError, ParameterError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -95,24 +95,15 @@ def load_grid_config(data, base_dir: str = ".") -> GridSpec:
     master_seed = _require(data, "master_seed", int, "config")
     replications = _require(data, "replications", int, "config")
     raw_graphs = _require(data, "graphs", list, "config")
-    if not raw_graphs:
-        raise ConfigError("config.graphs: must not be empty")
     graphs = [_build_graph(g, i, base_dir) for i, g in enumerate(raw_graphs)]
-    names = [n for n, _ in graphs]
-    if len(set(names)) != len(names):
-        raise ConfigError("config.graphs: duplicate graph names")
     pp_values = [float(x) for x in _require(data, "pp", list, "config")]
     sp_values = [float(x) for x in _require(data, "sp", list, "config")]
     raw_rankings = _require(data, "rankings", list, "config")
-    if not raw_rankings:
-        raise ConfigError("config.rankings: must not be empty")
     try:
         rankings = [RankingMethod.from_string(r) for r in raw_rankings]
     except ValueError as exc:
         raise ConfigError(f"config.rankings: {exc}") from None
     raw_strategies = _require(data, "strategies", list, "config")
-    if not raw_strategies:
-        raise ConfigError("config.strategies: must not be empty")
     strategies = [_build_strategy(s, i) for i, s in enumerate(raw_strategies)]
     try:
         return GridSpec(graphs, pp_values, sp_values, rankings, strategies,

@@ -7,10 +7,11 @@ rounded mean duration parameterizes the TSN strategies.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import math
 import random
-import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
@@ -41,14 +42,27 @@ class GridSpec:
     def __post_init__(self):
         if self.replications < 1:
             raise ParameterError("replications must be >= 1")
-        if not self.strategies:
-            raise ParameterError("strategy list must not be empty")
         for pp in self.pp_values:
             if not 0.0 <= pp <= 1.0:
                 raise ParameterError(f"pp {pp} outside [0, 1]")
         for sp in self.sp_values:
             if not 0.0 < sp <= 1.0:
                 raise ParameterError(f"sp {sp} outside (0, 1]")
+        # config ids and CSV columns write pp and sp as :g, and the id keys
+        # the rng streams, so a value must survive that form exactly
+        for x in self.pp_values + self.sp_values:
+            if float(f"{x:g}") != x:
+                raise ParameterError(
+                    f"pp or sp {x!r} is not exact in 6 significant digits")
+        for field, values in (  # named as in the JSON config
+                ("graphs", [name for name, _ in self.graphs]),
+                ("pp", self.pp_values), ("sp", self.sp_values),
+                ("rankings", [m.value for m in self.rankings]),
+                ("strategies", [s.label for s in self.strategies])):
+            if not values:
+                raise ParameterError(f"{field} must not be empty")
+            if len(set(values)) < len(values):
+                raise ParameterError(f"duplicate values in {field}: {values}")
 
     def configs(self) -> List[Tuple[str, float, float, RankingMethod]]:
         return [(name, pp, sp, method)
@@ -62,8 +76,6 @@ class GridSpec:
 
         Not done on construction: a spec may be built on stand-in graphs to
         validate a config's schema alone."""
-        if not (self.graphs and self.sp_values):
-            return
         n, name, sp = min((seed_count(g, sp), name, sp)
                           for name, g in self.graphs for sp in self.sp_values)
         for strat in self.strategies:
@@ -107,7 +119,6 @@ class ConfigRuns:
     traces are a list; every other strategy's traces are computed as they
     are iterated, once, so a caller can drop each trace when done with it.
     """
-    config_id: str
     n: int
     t_sn: int
     runs: List[Tuple[str, Iterable[DiffusionTrace]]]
@@ -146,51 +157,57 @@ def run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
         if strat.kind != "SN":  # the baseline block above
             runs.append((strat.label, _replicate(spec, cid, graph, ranking,
                                                  strat, n, pp, t_sn)))
-    return ConfigRuns(cid, n, t_sn, runs)
+    return ConfigRuns(n, t_sn, runs)
 
 
-def _run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
-                sp: float, method: RankingMethod,
-                score_cache: Optional[Dict] = None) -> List[RunRecord]:
-    out = run_config(spec, graph_name, graph, pp, sp, method, score_cache)
-    sn_traces = out.runs[0][1]
-    mean_c_sn = sum(t.coverage for t in sn_traces) / len(sn_traces)
-    return [RunRecord(out.config_id, graph_name, pp, sp, method.value, label,
-                      r, trace.coverage, trace.duration,
-                      trace.first_step_reaching(mean_c_sn),
-                      trace.cumulative_at(out.t_sn))
-            for label, traces in out.runs for r, trace in enumerate(traces)]
+class GridError(RuntimeError):
+    """A configuration failed while the grid ran; the message names its id."""
 
 
-def run_grid(spec: GridSpec, jobs: int = 1,
-             errstream: TextIO = sys.stderr) -> List[RunRecord]:
-    """Run the full grid; a failing configuration is reported and skipped.
+# One process's grid state: the spec, its graphs by name and a score cache
+# shared by the configs that process runs. Set by _start_worker, in each pool
+# worker or, at jobs=1, in this process until the next grid replaces it.
+_grid: Dict = {}
 
-    A k that some configuration's budget cannot hold fails the whole grid
-    before any run."""
+
+def _start_worker(spec: GridSpec) -> None:
+    _grid.update(spec=spec, graphs=dict(spec.graphs), scores={})
+
+
+def _config_records(config) -> List[RunRecord]:
+    name, pp, sp, method = config
+    cid = config_id(name, pp, sp, method)
+    try:
+        out = run_config(_grid["spec"], name, _grid["graphs"][name], pp, sp,
+                         method, _grid["scores"])
+        sn_traces = out.runs[0][1]
+        mean_c_sn = sum(t.coverage for t in sn_traces) / len(sn_traces)
+        return [RunRecord(cid, name, pp, sp, method.value, label,
+                          r, trace.coverage, trace.duration,
+                          trace.first_step_reaching(mean_c_sn),
+                          trace.cumulative_at(out.t_sn))
+                for label, traces in out.runs
+                for r, trace in enumerate(traces)]
+    except Exception as exc:
+        raise GridError(f"config {cid} failed: {exc}") from exc
+
+
+def run_grid(spec: GridSpec, jobs: int = 1) -> List[RunRecord]:
+    """Run the full grid on `jobs` processes. A k above some configuration's
+    seed budget fails the grid before any run; a configuration that fails
+    while it runs fails the grid with a GridError."""
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     spec.check_budgets()
-    graphs = dict(spec.graphs)
-    records: List[RunRecord] = []
-    score_cache: Dict = {}
-    if jobs > 1:
-        import multiprocessing
+    if jobs == 1:
+        _start_worker(spec)
+        chunks = map(_config_records, spec.configs())
+    else:
+        import multiprocessing  # only here: it adds about 1 MB to a serial run
 
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(
-                _run_config,
-                [(spec, name, graphs[name], pp, sp, method)
-                 for name, pp, sp, method in spec.configs()])
-        for chunk in results:
-            records.extend(chunk)
-        return records
-    for name, pp, sp, method in spec.configs():
-        try:
-            records.extend(_run_config(spec, name, graphs[name], pp, sp,
-                                       method, score_cache))
-        except Exception as exc:  # noqa: BLE001 - grid keeps going
-            print(f"config {config_id(name, pp, sp, method)} failed: {exc}",
-                  file=errstream)
-    return records
+        with multiprocessing.Pool(jobs, _start_worker, (spec,)) as pool:
+            chunks = pool.map(_config_records, spec.configs())
+    return [rec for chunk in chunks for rec in chunk]
 
 
 @dataclass
@@ -289,38 +306,31 @@ RECORD_COLUMNS = ("config_id,graph,pp,sp,ranking,strategy,run_id,"
                   "coverage,duration,t_reach_csn,coverage_at_tsn")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
+def _fmt(x):
+    """A float in 6 significant digits; csv writes None as empty, ints as is."""
+    return f"{x:.6g}" if isinstance(x, float) else x
 
 
 def write_records_csv(records: Sequence[RunRecord], out: TextIO) -> None:
     out.write(RECORD_COLUMNS + "\n")
-    for r in records:
-        out.write(",".join([
-            r.config_id, r.graph, _fmt(r.pp), _fmt(r.sp), r.ranking,
-            r.strategy, str(r.run_id), str(r.coverage), str(r.duration),
-            _fmt(r.t_reach_csn), str(r.coverage_at_tsn)]) + "\n")
+    csv.writer(out, lineterminator="\n").writerows([
+        r.config_id, r.graph, _fmt(r.pp), _fmt(r.sp), r.ranking, r.strategy,
+        r.run_id, r.coverage, r.duration, r.t_reach_csn, r.coverage_at_tsn]
+        for r in records)
 
 
 def read_records_csv(lines) -> List[RunRecord]:
-    if isinstance(lines, str):
-        lines = lines.splitlines()
-    it = iter(lines)
-    header = next(it, "").strip()
-    if header != RECORD_COLUMNS:
-        raise ValueError(f"unexpected records header: {header!r}")
+    reader = csv.reader(io.StringIO(lines) if isinstance(lines, str) else lines)
+    header = next(reader, [])
+    if header != RECORD_COLUMNS.split(","):
+        raise ValueError(f"unexpected records header: {','.join(header)!r}")
     records = []
-    for lineno, line in enumerate(it, start=2):
-        line = line.strip()
-        if not line:
+    for f in reader:
+        if not f:
             continue
-        f = line.split(",")
         if len(f) != 11:
-            raise ValueError(f"line {lineno}: expected 11 fields, got {len(f)}")
+            raise ValueError(f"line {reader.line_num}: expected 11 fields, "
+                             f"got {len(f)}")
         records.append(RunRecord(
             f[0], f[1], float(f[2]), float(f[3]), f[4], f[5], int(f[6]),
             int(f[7]), int(f[8]), int(f[9]) if f[9] else None, int(f[10])))
@@ -331,20 +341,18 @@ def write_summary_csv(summary: ComparisonSummary, out: TextIO) -> None:
     out.write("strategy,n_configs,win_fraction,win_fraction_excl_ties,"
               "run_win_fraction,mean_coverage_ratio,mean_duration_ratio,"
               "hl_delta,wilcoxon_p\n")
-    for row in summary.per_strategy:
-        out.write(",".join([
-            row.strategy, str(row.n_configs), _fmt(row.win_fraction),
-            _fmt(row.win_fraction_excl_ties), _fmt(row.run_win_fraction),
-            _fmt(row.mean_coverage_ratio), _fmt(row.mean_duration_ratio),
-            _fmt(row.hl_delta), _fmt(row.wilcoxon_p)]) + "\n")
+    csv.writer(out, lineterminator="\n").writerows([
+        row.strategy, row.n_configs, _fmt(row.win_fraction),
+        _fmt(row.win_fraction_excl_ties), _fmt(row.run_win_fraction),
+        _fmt(row.mean_coverage_ratio), _fmt(row.mean_duration_ratio),
+        _fmt(row.hl_delta), _fmt(row.wilcoxon_p)] for row in summary.per_strategy)
 
 
 def write_scatter_csv(summary: ComparisonSummary, out: TextIO) -> None:
     """Per-config coverage/duration ratios (Fig. 2(E)-style scatter data)."""
     out.write("config_id,strategy,mean_coverage,mean_duration,"
               "coverage_ratio,duration_ratio\n")
-    for row in summary.per_config:
-        out.write(",".join([
-            row.config_id, row.strategy, _fmt(row.mean_coverage),
-            _fmt(row.mean_duration), _fmt(row.coverage_ratio),
-            _fmt(row.duration_ratio)]) + "\n")
+    csv.writer(out, lineterminator="\n").writerows([
+        row.config_id, row.strategy, _fmt(row.mean_coverage),
+        _fmt(row.mean_duration), _fmt(row.coverage_ratio),
+        _fmt(row.duration_ratio)] for row in summary.per_config)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from seqseed import experiment
 from seqseed.cli import main
 from seqseed.config import ConfigError, load_grid_config
 from seqseed.experiment import run_grid
@@ -55,6 +56,12 @@ class TestConfigLoading:
     def test_unknown_ranking(self):
         bad = dict(GRID_CONFIG, rankings=["closeness"])
         with pytest.raises(ConfigError, match="rankings"):
+            load_grid_config(bad)
+
+    def test_duplicate_graph_names_rejected(self):
+        graph = GRID_CONFIG["graphs"][0]
+        bad = dict(GRID_CONFIG, graphs=[graph, dict(graph, seed=4)])
+        with pytest.raises(ConfigError, match="duplicate values in graphs"):
             load_grid_config(bad)
 
     def test_k_above_seed_budget_rejected(self):
@@ -208,6 +215,32 @@ class TestGridAndSummarize:
                                 "--out-dir", str(tmp_path / "out")], capsys)
         assert code == 1
         assert "SQ_3PS_R" in err
+        assert not (tmp_path / "out" / "records.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_config_exits_nonzero(self, tmp_path, capsys, monkeypatch,
+                                          jobs):
+        def run_strategy(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        # pool workers are forked, so they inherit the patch
+        monkeypatch.setattr(experiment, "run_strategy", run_strategy)
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CONFIG))
+        code, _, err = run_cli(["grid", "--config", str(cfg), "--jobs", jobs,
+                                "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert "config ba|pp=0.1|sp=0.05|degree failed: injected failure" in err
+        assert not (tmp_path / "out" / "records.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_nonzero(self, tmp_path, capsys, jobs):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CONFIG))
+        code, _, err = run_cli(["grid", "--config", str(cfg), "--jobs", jobs,
+                                "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert "jobs must be >= 1" in err
         assert not (tmp_path / "out" / "records.csv").exists()
 
     def test_invalid_config_fails_cleanly(self, tmp_path, capsys):

@@ -1,20 +1,24 @@
 import hashlib
 import io
+import multiprocessing
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from seqseed.experiment import (GridSpec, RunRecord, config_id, derive_rng,
-                                read_records_csv, run_config, run_grid,
-                                summarize, write_records_csv)
-from seqseed.graphs import generate_ba, generate_er, load_edge_list
+from seqseed import experiment
+from seqseed.experiment import (GridError, GridSpec, RunRecord, config_id,
+                                derive_rng, read_records_csv, run_config,
+                                run_grid, summarize, write_records_csv)
+from seqseed.graphs import ParameterError, generate_ba, generate_er, load_edge_list
 from seqseed.ranking import RankingMethod
 from seqseed.strategies import StrategySpec
 
 
-def small_spec(strategies, replications=3, master_seed=11):
+def small_spec(strategies, replications=3, master_seed=11, pp_values=(0.2,)):
     g = generate_ba(60, 2, random.Random(5))
-    return GridSpec(graphs=[("ba60", g)], pp_values=[0.2], sp_values=[0.05],
+    return GridSpec(graphs=[("ba60", g)], pp_values=list(pp_values),
+                    sp_values=[0.05],
                     rankings=[RankingMethod.DEGREE], strategies=strategies,
                     replications=replications, master_seed=master_seed)
 
@@ -88,6 +92,71 @@ class TestRunGrid:
                 assert r.t_reach_csn <= r.duration
 
 
+def fail_runs_at_pp(monkeypatch, pp):
+    """Make every run of the configurations at `pp` raise. Pool workers are
+    forked, so they inherit the patch."""
+    real = experiment.run_strategy
+
+    def run_strategy(graph, ranking, strat, n, run_pp, rng, t_sn=None):
+        if run_pp == pp:
+            raise RuntimeError("injected failure")
+        return real(graph, ranking, strat, n, run_pp, rng, t_sn=t_sn)
+
+    monkeypatch.setattr(experiment, "run_strategy", run_strategy)
+
+
+class TestRunGridJobs:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_config_fails_grid(self, monkeypatch, jobs):
+        spec = small_spec([StrategySpec("SN"), StrategySpec("SQ_TSN")],
+                          pp_values=[0.2, 0.3])
+        fail_runs_at_pp(monkeypatch, 0.3)
+        with pytest.raises(GridError, match=r"config ba60\|pp=0\.3\|sp=0\.05"
+                           r"\|degree failed: injected failure"):
+            run_grid(spec, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        with pytest.raises(ParameterError, match="jobs"):
+            run_grid(small_spec([StrategySpec("SN")]), jobs=jobs)
+
+
+class TestGridIdentity:
+    """Values that would share a config id (and so an rng stream) or a
+    strategy label are rejected, and so is an empty list, which would give
+    no configs. Unchecked, pp 0.1234561 and 0.1234562 with SQ_1PS and
+    SQ_kPS k=1 gave 18 records under one config id."""
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("graphs", [("g", load_edge_list("0 1")), ("g", load_edge_list("0 2"))],
+         "duplicate values in graphs"),
+        ("pp_values", [0.2, 0.2], "duplicate values in pp"),
+        ("sp_values", [0.05, 0.05], "duplicate values in sp"),
+        ("rankings", [RankingMethod.DEGREE, RankingMethod.DEGREE],
+         "duplicate values in rankings"),
+        ("strategies", [StrategySpec.parse("SQ_1PS"),
+                        StrategySpec("SQ_kPS", k=1)],
+         "duplicate values in strategies"),
+        ("pp_values", [0.1234561, 0.1234562], "0.1234561 is not exact"),
+        ("sp_values", [0.0123456789], "0.0123456789 is not exact"),
+        ("pp_values", [], "pp must not be empty"),
+    ], ids=["graph", "pp", "sp", "ranking", "strategy", "pp-inexact",
+            "sp-inexact", "pp-empty"])
+    def test_collision_rejected(self, field, values, message):
+        args = dict(graphs=[("ba60", generate_ba(60, 2, random.Random(5)))],
+                    pp_values=[0.2], sp_values=[0.05],
+                    rankings=[RankingMethod.DEGREE],
+                    strategies=[StrategySpec("SN")], replications=3,
+                    master_seed=11)
+        args[field] = values
+        with pytest.raises(ParameterError, match=message):
+            GridSpec(**args)
+
+
 def test_gain_decreases_with_pp_past_transition():
     # On sparse synthetic graphs the SQ_1PS_R advantage over SN is unimodal
     # in pp; once cascades are supercritical the relative gain shrinks as SN
@@ -117,6 +186,12 @@ def test_gain_decreases_with_pp_past_transition():
 PINNED_RECORDS_SHA256 = "ac1dec08b56ab19ef078d45c58f1a0d58efa6bf40fbe26732a65ce248fb0f894"
 
 
+def records_sha256(records):
+    buf = io.StringIO()
+    write_records_csv(records, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 def pinned_grid():
     return GridSpec(
         graphs=[("ba30", generate_ba(30, 2, random.Random(7))),
@@ -142,10 +217,11 @@ def test_records_bytes_pinned():
                 if any(t.forfeited for t in traces)}
     # buffering forfeits only units it banked and could not spend
     assert {"SQ_2PS", "SQ_2PS_B", "SQ_TSN_R"} <= forfeits
-    buf = io.StringIO()
-    write_records_csv(run_grid(spec), buf)
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert digest == PINNED_RECORDS_SHA256
+    assert records_sha256(run_grid(spec)) == PINNED_RECORDS_SHA256
+
+
+def test_records_bytes_pinned_two_jobs():
+    assert records_sha256(run_grid(pinned_grid(), jobs=2)) == PINNED_RECORDS_SHA256
 
 
 def make_record(cid, strategy, run_id, coverage, duration=3):
@@ -196,9 +272,34 @@ class TestSummarize:
         assert summarize(records) == summarize(shuffled)
 
 
+# printable text, with the CSV delimiter, the quote and the config id separator
+GRAPH_NAMES = st.text(st.sampled_from(',"|')
+                      | st.characters(blacklist_categories=("Cc", "Cs")))
+
+
+@st.composite
+def run_records(draw):
+    name = draw(GRAPH_NAMES)
+    pp = draw(st.integers(0, 100)) / 100  # exact in 6 significant digits
+    sp = draw(st.integers(1, 100)) / 100
+    method = draw(st.sampled_from(list(RankingMethod)))
+    return RunRecord(
+        config_id(name, pp, sp, method), name, pp, sp, method.value,
+        draw(st.sampled_from(["SN", "SQ_2PS_R", "SQ_TSN"])),
+        draw(st.integers(0, 99)), draw(st.integers(0, 10 ** 6)),
+        draw(st.integers(0, 10 ** 4)), draw(st.none() | st.integers(0, 10 ** 4)),
+        draw(st.integers(0, 10 ** 6)))
+
+
 class TestRecordsCsv:
     def test_roundtrip(self):
         records = run_grid(small_spec([StrategySpec("SQ_TSN")], replications=2))
+        buf = io.StringIO()
+        write_records_csv(records, buf)
+        assert read_records_csv(buf.getvalue()) == records
+
+    @given(st.lists(run_records(), max_size=6))
+    def test_roundtrip_any_graph_name(self, records):
         buf = io.StringIO()
         write_records_csv(records, buf)
         assert read_records_csv(buf.getvalue()) == records

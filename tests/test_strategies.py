@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from seqseed.diffusion import DiffusionState, activate_seeds, run_until_stop
 from seqseed.graphs import ParameterError, generate_ba, generate_er, load_edge_list
 from seqseed.ranking import Ranking, RankingMethod, rank
 from seqseed.strategies import (StrategySpec, run_sn, run_sq_kps, run_sq_kps_b,
