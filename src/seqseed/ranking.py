@@ -5,6 +5,7 @@ from them dynamically, taking the best nodes still inactive at each stage.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -152,7 +153,8 @@ def rank(graph: Graph, method: RankingMethod, rng,
 
 
 def write_ranking_csv(graph: Graph, ranking: Ranking, out) -> None:
-    out.write("node_label,method,score,rank_position\n")
-    for pos, v in enumerate(ranking.order):
-        out.write(f"{graph.labels[v]},{ranking.method.value},"
-                  f"{ranking.score[v]:.6g},{pos}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("node_label", "method", "score", "rank_position"))
+    writer.writerows((graph.labels[v], ranking.method.value,
+                      f"{ranking.score[v]:.6g}", pos)
+                     for pos, v in enumerate(ranking.order))

@@ -2,20 +2,97 @@
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 EXACT_LIMIT = 25
 
 
 def hodges_lehmann(differences: Sequence[float]) -> float:
-    """Median of all Walsh averages (d_i + d_j) / 2 for i <= j."""
+    """Median of all Walsh averages (d_i + d_j) / 2 for i <= j.
+
+    Exact selection over the rows of the sorted differences (Johnson &
+    Mizoguchi 1978; Monahan 1984), in O(C) memory: row i holds the averages
+    (d[i] + d[j]) / 2.0 for j >= i, non-decreasing in j. The middle averages
+    are those same floats, and an even count averages the two middle ones as
+    `statistics.median` does, so the result equals the median of the full
+    list of C(C+1)/2 averages. Only the sign of a zero result can differ,
+    and only when some average is -0.0: the list then picks a sign by input
+    order.
+    """
     d = list(differences)
     if not d:
         raise ValueError("need at least one difference")
-    walsh = [(d[i] + d[j]) / 2.0 for i in range(len(d)) for j in range(i, len(d))]
-    return float(statistics.median(walsh))
+    if not all(map(math.isfinite, d)):
+        raise ValueError("differences must be finite (no NaN or inf)")
+    d.sort()
+    n = len(d)
+    total = n * (n + 1) // 2
+    k = (total - 1) // 2
+    a, upto = _select_walsh(d, k)
+    if total % 2:
+        return a
+    if sum(upto) - n * (n - 1) // 2 > k + 1:
+        b = a  # the next average ties with a
+    else:
+        # the smallest average above a: the first column past each row's cut
+        b = min((d[i] + d[j]) / 2.0 for i, j in enumerate(upto) if j < n)
+    return (a + b) / 2
+
+
+def _select_walsh(d: List[float], k: int) -> Tuple[float, List[int]]:
+    """The k-th smallest (0-based) Walsh average of sorted d, and per row the
+    first column whose average exceeds it.
+
+    Row i keeps a candidate band [lo[i], hi[i]) of columns. The pivot is the
+    weighted median of the bands' middle averages, so each round drops at
+    least a quarter of the candidates, and the pivot itself is always one.
+    """
+    n = len(d)
+    offset = n * (n - 1) // 2  # sum of row starts i
+    lo = list(range(n))
+    hi = [n] * n
+    while True:
+        mids = sorted(((d[i] + d[(l + h) // 2]) / 2.0, h - l)
+                      for i, (l, h) in enumerate(zip(lo, hi)) if h > l)
+        half = sum(w for _, w in mids) / 2
+        seen = 0
+        for pivot, w in mids:
+            seen += w
+            if seen >= half:
+                break
+        below, upto = _cut(d, pivot)
+        if sum(below) - offset > k:
+            hi = below
+        elif sum(upto) - offset <= k:
+            lo = upto
+        else:
+            return pivot, upto
+
+
+def _cut(d: List[float], pivot: float) -> Tuple[List[int], List[int]]:
+    """Per row i, the first column j >= i whose average is >= pivot, and the
+    first whose average is > pivot.
+
+    d is sorted, so both columns only move left as i grows: one sweep each.
+    The test computes (d[i] + d[j]) / 2.0 as the Walsh average is computed;
+    IEEE addition and halving are monotone, so the counts are exact.
+    """
+    n = len(d)
+    below = list(range(n))
+    upto = list(range(n))
+    a = b = n
+    for i, x in enumerate(d):
+        while a > i and (x + d[a - 1]) / 2.0 >= pivot:
+            a -= 1
+        while b > i and (x + d[b - 1]) / 2.0 > pivot:
+            b -= 1
+        if b <= i:
+            break  # this row and every later one hold no average <= pivot
+        if a > i:
+            below[i] = a
+        upto[i] = b
+    return below, upto
 
 
 @dataclass

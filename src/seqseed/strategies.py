@@ -169,37 +169,3 @@ def run_strategy(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
     state.forfeited = n - spent
     return state.trace()
 
-
-def run_sn(graph: Graph, ranking: Ranking, n: int, pp: float, rng) -> DiffusionTrace:
-    """Single stage: inject the top n ranked nodes at step 0, then diffuse."""
-    return run_strategy(graph, ranking, StrategySpec("SN"), n, pp, rng)
-
-
-def run_sq_kps(graph: Graph, ranking: Ranking, n: int, k: int, pp: float,
-               rng) -> DiffusionTrace:
-    """k seeds per stage, one diffusion step per stage, free tail diffusion."""
-    return run_strategy(graph, ranking, StrategySpec("SQ_kPS", k=k), n, pp, rng)
-
-
-def run_sq_kps_r(graph: Graph, ranking: Ranking, n: int, k: int, pp: float,
-                 rng) -> DiffusionTrace:
-    """k seeds per stage with revival: reseed only once diffusion has stopped."""
-    return run_strategy(graph, ranking, StrategySpec("SQ_kPS_R", k=k), n, pp, rng)
-
-
-def run_sq_kps_b(graph: Graph, ranking: Ranking, n: int, k: int, pp: float,
-                 rng) -> DiffusionTrace:
-    """k per stage with buffering: already-active schedule entries are banked."""
-    return run_strategy(graph, ranking, StrategySpec("SQ_kPS_B", k=k), n, pp, rng)
-
-
-def run_sq_tsn(graph: Graph, ranking: Ranking, n: int, t_sn: int, pp: float,
-               rng) -> DiffusionTrace:
-    """T_SN stages of ~n/T_SN seeds at steps 0..T_SN-1; SQ_1PS when n < T_SN."""
-    return run_strategy(graph, ranking, StrategySpec("SQ_TSN", t_sn=t_sn), n, pp, rng)
-
-
-def run_sq_tsn_r(graph: Graph, ranking: Ranking, n: int, t_sn: int, pp: float,
-                 rng) -> DiffusionTrace:
-    """Same allocation as SQ_TSN, but each stage waits for diffusion to stop."""
-    return run_strategy(graph, ranking, StrategySpec("SQ_TSN_R", t_sn=t_sn), n, pp, rng)

@@ -21,8 +21,7 @@ from seqseed.graphs import components, generate_ba, generate_er, load_edge_list
 from seqseed.ranking import (RankingMethod, eigenvector_scores, pagerank_scores,
                              rank)
 from seqseed.stats import hodges_lehmann, wilcoxon_signed_rank
-from seqseed.strategies import (StrategySpec, run_sn, run_sq_kps, run_sq_kps_b,
-                                run_sq_kps_r, run_sq_tsn, run_sq_tsn_r)
+from seqseed.strategies import StrategySpec, run_strategy
 
 from test_ranking import dense_eigenvector, dense_pagerank
 from test_stats import wilcoxon_brute_force
@@ -92,14 +91,14 @@ def test_criterion_2_degenerate_exactness():
     g = generate_er(60, 0.05, random.Random(3))  # typically disconnected
     r = rank(g, RankingMethod.DEGREE, random.Random(1))
     n, k, t_sn = 12, 5, 4
-    runs = {
-        "SN": lambda pp, rng: run_sn(g, r, n, pp, rng),
-        "SQ_kPS": lambda pp, rng: run_sq_kps(g, r, n, k, pp, rng),
-        "SQ_kPS_R": lambda pp, rng: run_sq_kps_r(g, r, n, k, pp, rng),
-        "SQ_kPS_B": lambda pp, rng: run_sq_kps_b(g, r, n, k, pp, rng),
-        "SQ_TSN": lambda pp, rng: run_sq_tsn(g, r, n, t_sn, pp, rng),
-        "SQ_TSN_R": lambda pp, rng: run_sq_tsn_r(g, r, n, t_sn, pp, rng),
-    }
+    specs = {"SN": StrategySpec("SN"),
+             "SQ_kPS": StrategySpec("SQ_kPS", k=k),
+             "SQ_kPS_R": StrategySpec("SQ_kPS_R", k=k),
+             "SQ_kPS_B": StrategySpec("SQ_kPS_B", k=k),
+             "SQ_TSN": StrategySpec("SQ_TSN", t_sn=t_sn),
+             "SQ_TSN_R": StrategySpec("SQ_TSN_R", t_sn=t_sn)}
+    runs = {name: lambda pp, rng, spec=spec: run_strategy(g, r, spec, n, pp, rng)
+            for name, spec in specs.items()}
     stages_kps = math.ceil(n / k)
     expected_t_pp0 = {"SN": 0, "SQ_kPS": stages_kps - 1,
                       "SQ_kPS_R": stages_kps - 1, "SQ_kPS_B": stages_kps - 1,
@@ -130,9 +129,11 @@ def test_criterion_3_reduction_identities():
     r = rank(g, RankingMethod.DEGREE, random.Random(2))
     n = 10
     for seed in range(100):
-        sn = run_sn(g, r, n, 0.2, random.Random(seed))
-        kps = run_sq_kps(g, r, n, n, 0.2, random.Random(seed))
-        tsn = run_sq_tsn(g, r, n, 1, 0.2, random.Random(seed))
+        sn = run_strategy(g, r, StrategySpec("SN"), n, 0.2, random.Random(seed))
+        kps = run_strategy(g, r, StrategySpec("SQ_kPS", k=n),
+                           n, 0.2, random.Random(seed))
+        tsn = run_strategy(g, r, StrategySpec("SQ_TSN", t_sn=1),
+                           n, 0.2, random.Random(seed))
         assert sn == kps
         assert sn == tsn
     report(3, "reduction identities")
@@ -166,9 +167,11 @@ def test_criterion_4_theorem_instance():
 
     def expectations(g, r, pp):
         e_sn = exact_process_expectation(
-            lambda rng: run_sn(g, r, 2, pp, rng).coverage, pp)
+            lambda rng: run_strategy(g, r, StrategySpec("SN"),
+                                     2, pp, rng).coverage, pp)
         e_seq = exact_process_expectation(
-            lambda rng: run_sq_kps_r(g, r, 2, 1, pp, rng).coverage, pp)
+            lambda rng: run_strategy(g, r, StrategySpec("SQ_kPS_R", k=1),
+                                     2, pp, rng).coverage, pp)
         return e_seq, e_sn
 
     for pp in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from seqseed import experiment
 from seqseed.experiment import (GridError, GridSpec, RunRecord, config_id,
                                 derive_rng, read_records_csv, run_config,
-                                run_grid, summarize, write_records_csv)
+                                run_grid, summarize, write_records_csv,
+                                write_scatter_csv, write_summary_csv)
 from seqseed.graphs import ParameterError, generate_ba, generate_er, load_edge_list
 from seqseed.ranking import RankingMethod
 from seqseed.strategies import StrategySpec
@@ -184,12 +185,20 @@ def test_gain_decreases_with_pp_past_transition():
 # sha256 of the records CSV of pinned_grid(); a change of it is a change of
 # the program's output bytes
 PINNED_RECORDS_SHA256 = "ac1dec08b56ab19ef078d45c58f1a0d58efa6bf40fbe26732a65ce248fb0f894"
+# sha256 of the summary and scatter CSVs of summarize(run_grid(pinned_grid())),
+# taken when hodges_lehmann still took the median of the full Walsh list
+PINNED_SUMMARY_SHA256 = "a20aec09e1162e4fcbf496149ddb40efef98149aa5bccf7fb91192d734e78334"
+PINNED_SCATTER_SHA256 = "9757bdc35014bde07c4b825f397e0a65264432301fc8404d267582af7c8ce209"
+
+
+def csv_sha256(write, rows):
+    buf = io.StringIO()
+    write(rows, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 def records_sha256(records):
-    buf = io.StringIO()
-    write_records_csv(records, buf)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return csv_sha256(write_records_csv, records)
 
 
 def pinned_grid():
@@ -222,6 +231,12 @@ def test_records_bytes_pinned():
 
 def test_records_bytes_pinned_two_jobs():
     assert records_sha256(run_grid(pinned_grid(), jobs=2)) == PINNED_RECORDS_SHA256
+
+
+def test_summary_bytes_pinned():
+    summary = summarize(run_grid(pinned_grid()))
+    assert csv_sha256(write_summary_csv, summary) == PINNED_SUMMARY_SHA256
+    assert csv_sha256(write_scatter_csv, summary) == PINNED_SCATTER_SHA256
 
 
 def make_record(cid, strategy, run_id, coverage, duration=3):

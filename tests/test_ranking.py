@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import numpy as np
@@ -6,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqseed.graphs import generate_er, load_edge_list
-from seqseed.ranking import (RankingMethod, eigenvector_scores, pagerank_scores,
-                             rank)
+from seqseed.ranking import (Ranking, RankingMethod, eigenvector_scores,
+                             pagerank_scores, rank, write_ranking_csv)
 
 
 def cycle(n):
@@ -55,6 +57,31 @@ class TestRank:
             b = rank(g, method, random.Random(11))
             assert a.order == b.order
             assert a.score == b.score
+
+
+class TestRankingCsv:
+    def test_ordinary_labels_bytes(self):
+        g = load_edge_list("hub a\nhub b\na leaf")
+        r = Ranking(RankingMethod.PAGERANK, [0, 1, 2, 3],
+                    [0.2834031, 1 / 3, 2.0, 1e-7])
+        buf = io.StringIO()
+        write_ranking_csv(g, r, buf)
+        assert buf.getvalue() == ("node_label,method,score,rank_position\n"
+                                  "hub,pagerank,0.283403,0\n"
+                                  "a,pagerank,0.333333,1\n"
+                                  "b,pagerank,2,2\n"
+                                  "leaf,pagerank,1e-07,3\n")
+
+    def test_comma_label_roundtrips(self):
+        g = load_edge_list('a,b c\nc "q"')
+        r = rank(g, RankingMethod.DEGREE, random.Random(0))
+        buf = io.StringIO()
+        write_ranking_csv(g, r, buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert rows[0] == ["node_label", "method", "score", "rank_position"]
+        assert [row[0] for row in rows[1:]] == [g.labels[v] for v in r.order]
+        assert {row[0] for row in rows[1:]} == {"a,b", "c", '"q"'}
+        assert all(len(row) == 4 for row in rows)
 
 
 class TestPagerank:

@@ -1,11 +1,44 @@
 import itertools
+import math
 import random
+import statistics
+import struct
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqseed.stats import hodges_lehmann, wilcoxon_signed_rank
+
+
+def _walsh_median(d):
+    """Oracle: the median of the full list of C(C+1)/2 Walsh averages."""
+    walsh = [(d[i] + d[j]) / 2.0 for i in range(len(d)) for j in range(i, len(d))]
+    return float(statistics.median(walsh))
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _negative_zero(x):
+    return x == 0 and math.copysign(1.0, x) < 0
+
+
+# a small pool of values that tie often, mixed with arbitrary finite floats;
+# -0.0 is left out, since summarize's x - x differences are +0.0
+_TIED = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0, 0.1, -0.1,
+                         1 / 3, 7.25])
+_DIFFERENCE = st.one_of(_TIED, _TIED, st.integers(-4, 4),
+                        st.floats(allow_nan=False, allow_infinity=False)
+                        ).filter(lambda x: not _negative_zero(x))
+
+
+def _tied_differences(n, seed):
+    rng = random.Random(seed)
+    return [rng.choice([0, 0, 1, -1, 2]) + rng.choice([0.0, 0.25, 0.5])
+            for _ in range(n)]
 
 
 class TestHodgesLehmann:
@@ -35,6 +68,45 @@ class TestHodgesLehmann:
     def test_odd(self, d):
         assert hodges_lehmann([-x for x in d]) == pytest.approx(
             -hodges_lehmann(d), abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            hodges_lehmann([1.0, bad, -2.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_DIFFERENCE, min_size=1, max_size=80))
+    def test_bit_identical_to_walsh_list(self, d):
+        walsh = [(x + y) / 2.0 for x in d for y in d]
+        # a -0.0 average ties +0.0, and the list's median then picks a sign
+        # by input order; differences of mean coverages never produce one
+        assume(not any(_negative_zero(w) for w in walsh))
+        got = hodges_lehmann(d)
+        want = _walsh_median(d)
+        assert type(got) is float
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_bit_identical_at_summary_scale(self, n):
+        # n = 1000 gives an even Walsh count (two middle averages), 1001 odd
+        assert (n * (n + 1) // 2) % 2 == (n == 1001)
+        d = _tied_differences(n, n)
+        assert _bits(hodges_lehmann(d)) == _bits(_walsh_median(d))
+        gauss = random.Random(n)
+        d = [gauss.gauss(0.3, 1.0) for _ in range(n)]
+        assert _bits(hodges_lehmann(d)) == _bits(_walsh_median(d))
+
+    def test_memory_linear_in_count(self):
+        # the full list would hold 8 002 000 floats (about 250 MB)
+        rng = random.Random(4000)
+        d = [rng.gauss(0.3, 1.0) for _ in range(4000)]
+        tracemalloc.start()
+        try:
+            hodges_lehmann(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
 
 def wilcoxon_brute_force(diffs):
