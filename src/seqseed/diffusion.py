@@ -1,17 +1,21 @@
-"""Independent Cascade engine with stepwise traces.
+"""Independent Cascade engine on live-edge worlds, with stepwise traces.
 
-Conventions: each newly activated node gets exactly one chance, during the
-step after its activation, to activate each then-inactive neighbor with
-probability pp; simultaneous attempts on the same node are independent draws.
-Attempts iterate (frontier node ascending, neighbor ascending) so a fixed rng
-stream replays a run exactly.
+Under IC each newly activated node gets exactly one chance, during the step
+after its activation, to activate each then-inactive neighbor with
+probability pp. Every directed edge is therefore tried at most once per run,
+so one coin per directed edge, drawn before the run, fixes the whole run
+(Kempe, Kleinberg & Tardos 2003). `sample_world` draws those coins as a live
+out-adjacency, and the step functions walk live edges without drawing, so
+one world can be shared by every strategy run on it (common random
+numbers). On a fixed world the final active set is the live-edge closure of
+the injected seeds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from .graphs import Graph, ParameterError
+from .graphs import Graph, ParameterError, skip_sample
 
 
 @dataclass
@@ -49,7 +53,7 @@ class DiffusionState:
     """Mutable per-run state; confined to a single run."""
 
     __slots__ = ("flags", "active_count", "frontier", "step", "last_activity",
-                 "entries", "forfeited", "attempt_log")
+                 "entries", "forfeited")
 
     def __init__(self, graph: Graph, record_trace: bool = True):
         self.flags = bytearray(graph.node_count)
@@ -59,12 +63,35 @@ class DiffusionState:
         self.last_activity = 0
         self.entries: Optional[List[TraceEntry]] = [] if record_trace else None
         self.forfeited = 0
-        self.attempt_log: Optional[List[Tuple[int, int]]] = None
 
     def trace(self) -> DiffusionTrace:
         return DiffusionTrace(self.entries if self.entries is not None else [],
                               self.active_count, self.last_activity,
                               self.forfeited)
+
+
+# A live-edge world: live[u] lists, ascending, the neighbors v whose directed
+# edge u -> v succeeded. Any sequence indexable by node works.
+World = Sequence[Sequence[int]]
+_NO_ARCS = ()  # shared by every node with no live out-edge
+
+
+def sample_world(graph: Graph, pp: float, rng) -> List[Sequence[int]]:
+    """Draw one coin per directed edge of `graph`, live with probability pp,
+    by geometric skipping over `graph.arcs`: O(nodes + live edges) time and
+    one `rng.random()` per live edge plus one."""
+    if not 0.0 <= pp <= 1.0:
+        raise ParameterError("pp must be in [0, 1]")
+    tails, heads = graph.arcs
+    live: List[Sequence[int]] = [_NO_ARCS] * graph.node_count
+    last = -1
+    for i in skip_sample(len(heads), pp, rng):
+        u = tails[i]
+        if u != last:  # arcs ascend by tail, so each list is built in one run
+            last = u
+            out = live[u] = []
+        out.append(heads[i])
+    return live
 
 
 def activate_seeds(state: DiffusionState, seeds: Sequence[int]) -> DiffusionState:
@@ -78,7 +105,7 @@ def activate_seeds(state: DiffusionState, seeds: Sequence[int]) -> DiffusionStat
     for s in seeds:
         flags[s] = 1
     state.active_count += len(seeds)
-    state.frontier = sorted(state.frontier + list(seeds))
+    state.frontier = state.frontier + list(seeds)
     state.last_activity = state.step
     entries = state.entries
     if entries is not None:
@@ -90,31 +117,21 @@ def activate_seeds(state: DiffusionState, seeds: Sequence[int]) -> DiffusionStat
     return state
 
 
-def ic_step(state: DiffusionState, graph: Graph, pp: float, rng) -> List[int]:
-    """One diffusion step: current frontier attempts its inactive neighbors."""
-    if not 0.0 <= pp <= 1.0:
-        raise ParameterError("pp must be in [0, 1]")
+def ic_step(state: DiffusionState, live: World) -> List[int]:
+    """One diffusion step: the frontier activates its inactive live
+    out-neighbors. Does nothing, not even advance the step, when the
+    frontier is empty."""
     frontier = state.frontier
     if not frontier:
         return []
     flags = state.flags
-    adj = graph.adjacency
-    rand = rng.random
-    log = state.attempt_log
     newly: List[int] = []
-    hit = set()
     for u in frontier:
-        for v in adj[u]:
-            if flags[v]:
-                continue
-            if log is not None:
-                log.append((u, v))
-            if rand() < pp and v not in hit:
-                hit.add(v)
+        for v in live[u]:
+            if not flags[v]:
+                flags[v] = 1
                 newly.append(v)
     newly.sort()
-    for v in newly:
-        flags[v] = 1
     state.active_count += len(newly)
     state.step += 1
     state.frontier = newly
@@ -125,11 +142,16 @@ def ic_step(state: DiffusionState, graph: Graph, pp: float, rng) -> List[int]:
     return newly
 
 
-def run_until_stop(state: DiffusionState, graph: Graph, pp: float, rng) -> DiffusionState:
+def spread(state: DiffusionState, live: World) -> DiffusionState:
     """Step until a step activates nothing; terminates within N steps."""
     while state.frontier:
-        ic_step(state, graph, pp, rng)
+        ic_step(state, live)
     return state
+
+
+def run_until_stop(state: DiffusionState, graph: Graph, pp: float, rng) -> DiffusionState:
+    """Spread on a world sampled from `rng`."""
+    return spread(state, sample_world(graph, pp, rng))
 
 
 def expected_coverage_exact(graph: Graph, seeds: Sequence[int], pp):

@@ -1,9 +1,13 @@
 """Experiment grid: N x PP x SP x S with replication, pairing, and summaries.
 
-Every run gets its own rng stream derived from (master seed, config id,
-strategy label, run id), so results are independent of execution order and
-bit-reproducible. The SN baseline block runs first per configuration; its
-rounded mean duration parameterizes the TSN strategies.
+Run r of every configuration of one (graph, pp) traverses the same live-edge
+world, sampled from the rng stream derived from (master seed, graph name,
+pp, "world", r). Every sp, ranking and strategy, the SN baseline included,
+is thus paired on common random numbers, and results are independent of
+execution order and bit-reproducible. Each configuration's ranking draws
+from its own stream (master seed, config id, "ranking"). The SN baseline
+block runs first per configuration; its rounded mean duration parameterizes
+the TSN strategies.
 """
 from __future__ import annotations
 
@@ -15,11 +19,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
-from .diffusion import DiffusionTrace
+from .diffusion import DiffusionTrace, World, sample_world
 from .graphs import Graph, ParameterError
 from .ranking import Ranking, RankingMethod, method_scores, rank
 from .stats import hodges_lehmann, wilcoxon_signed_rank
-from .strategies import StrategySpec, run_strategy, seed_count
+from .strategies import StrategySpec, run_on_world, seed_count
 
 
 def derive_rng(master_seed: int, *keys) -> random.Random:
@@ -89,7 +93,7 @@ def config_id(graph_name: str, pp: float, sp: float, method: RankingMethod) -> s
     return f"{graph_name}|pp={pp:g}|sp={sp:g}|{method.value}"
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     config_id: str
     graph: str
@@ -102,6 +106,7 @@ class RunRecord:
     duration: int
     t_reach_csn: Optional[int]
     coverage_at_tsn: int
+    forfeited: int
 
 
 def _round_half_up(x: float) -> int:
@@ -124,20 +129,30 @@ class ConfigRuns:
     runs: List[Tuple[str, Iterable[DiffusionTrace]]]
 
 
-def _replicate(spec: GridSpec, cid: str, graph: Graph, ranking: Ranking,
-               strat: StrategySpec, n: int, pp: float,
+def sample_worlds(spec: GridSpec, graph_name: str, graph: Graph,
+                  pp: float) -> List[World]:
+    """The live-edge worlds of runs 0..replications-1 at (graph, pp)."""
+    return [sample_world(graph, pp, derive_rng(spec.master_seed, graph_name,
+                                               f"pp={pp:g}", "world", r))
+            for r in range(spec.replications)]
+
+
+def _replicate(graph: Graph, ranking: Ranking, strat: StrategySpec, n: int,
+               worlds: List[World],
                t_sn: Optional[int] = None) -> Iterator[DiffusionTrace]:
-    for r in range(spec.replications):
-        yield run_strategy(graph, ranking, strat, n, pp,
-                           derive_rng(spec.master_seed, cid, strat.label, r),
-                           t_sn=t_sn)
+    for live in worlds:
+        yield run_on_world(graph, ranking, strat, n, live, t_sn)
 
 
 def run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
                sp: float, method: RankingMethod,
-               score_cache: Optional[Dict] = None) -> ConfigRuns:
-    """Rank, run the SN block, derive t_sn from it, then run the strategies."""
+               score_cache: Optional[Dict] = None,
+               worlds: Optional[List[World]] = None) -> ConfigRuns:
+    """Rank, run the SN block, derive t_sn from it, then run the strategies,
+    all on `worlds` (sampled here when not given)."""
     cid = config_id(graph_name, pp, sp, method)
+    if worlds is None:
+        worlds = sample_worlds(spec, graph_name, graph, pp)
     n = seed_count(graph, sp)
     rank_rng = derive_rng(spec.master_seed, cid, "ranking")
     scores = None
@@ -149,14 +164,14 @@ def run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
         scores = score_cache[key]
     ranking = rank(graph, method, rank_rng, scores=scores)
 
-    sn_traces = list(_replicate(spec, cid, graph, ranking, _SN, n, pp))
+    sn_traces = list(_replicate(graph, ranking, _SN, n, worlds))
     t_sn = max(1, _round_half_up(
         sum(t.duration for t in sn_traces) / len(sn_traces)))
     runs = [("SN", sn_traces)]
     for strat in spec.strategies:
         if strat.kind != "SN":  # the baseline block above
-            runs.append((strat.label, _replicate(spec, cid, graph, ranking,
-                                                 strat, n, pp, t_sn)))
+            runs.append((strat.label, _replicate(graph, ranking, strat, n,
+                                                 worlds, t_sn)))
     return ConfigRuns(n, t_sn, runs)
 
 
@@ -164,28 +179,37 @@ class GridError(RuntimeError):
     """A configuration failed while the grid ran; the message names its id."""
 
 
-# One process's grid state: the spec, its graphs by name and a score cache
-# shared by the configs that process runs. Set by _start_worker, in each pool
-# worker or, at jobs=1, in this process until the next grid replaces it.
+# One process's grid state: the spec, its graphs by name, a score cache
+# shared by the configs that process runs, and the worlds of the (graph, pp)
+# it last ran. Configs come in (graph, pp)-major order, so keeping one key's
+# worlds samples each world once per process at a bounded memory cost. Set
+# by _start_worker, in each pool worker or, at jobs=1, in this process until
+# the grid ends.
 _grid: Dict = {}
 
 
 def _start_worker(spec: GridSpec) -> None:
-    _grid.update(spec=spec, graphs=dict(spec.graphs), scores={})
+    _grid.update(spec=spec, graphs=dict(spec.graphs), scores={},
+                 world_key=None, worlds=None)
 
 
 def _config_records(config) -> List[RunRecord]:
     name, pp, sp, method = config
     cid = config_id(name, pp, sp, method)
     try:
-        out = run_config(_grid["spec"], name, _grid["graphs"][name], pp, sp,
-                         method, _grid["scores"])
+        spec, graph = _grid["spec"], _grid["graphs"][name]
+        if _grid["world_key"] != (name, pp):
+            _grid["worlds"] = None  # free the old worlds before sampling
+            _grid["worlds"] = sample_worlds(spec, name, graph, pp)
+            _grid["world_key"] = (name, pp)
+        out = run_config(spec, name, graph, pp, sp, method, _grid["scores"],
+                         _grid["worlds"])
         sn_traces = out.runs[0][1]
         mean_c_sn = sum(t.coverage for t in sn_traces) / len(sn_traces)
         return [RunRecord(cid, name, pp, sp, method.value, label,
                           r, trace.coverage, trace.duration,
                           trace.first_step_reaching(mean_c_sn),
-                          trace.cumulative_at(out.t_sn))
+                          trace.cumulative_at(out.t_sn), trace.forfeited)
                 for label, traces in out.runs
                 for r, trace in enumerate(traces)]
     except Exception as exc:
@@ -201,12 +225,15 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> List[RunRecord]:
     spec.check_budgets()
     if jobs == 1:
         _start_worker(spec)
-        chunks = map(_config_records, spec.configs())
-    else:
-        import multiprocessing  # only here: it adds about 1 MB to a serial run
+        try:
+            return [rec for chunk in map(_config_records, spec.configs())
+                    for rec in chunk]
+        finally:
+            _grid.clear()
+    import multiprocessing  # only here: it adds about 1 MB to a serial run
 
-        with multiprocessing.Pool(jobs, _start_worker, (spec,)) as pool:
-            chunks = pool.map(_config_records, spec.configs())
+    with multiprocessing.Pool(jobs, _start_worker, (spec,)) as pool:
+        chunks = pool.map(_config_records, spec.configs())
     return [rec for chunk in chunks for rec in chunk]
 
 
@@ -303,7 +330,7 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
 # CSV emission / parsing (6 significant digits, fixed column order)
 
 RECORD_COLUMNS = ("config_id,graph,pp,sp,ranking,strategy,run_id,"
-                  "coverage,duration,t_reach_csn,coverage_at_tsn")
+                  "coverage,duration,t_reach_csn,coverage_at_tsn,forfeited")
 
 
 def _fmt(x):
@@ -315,7 +342,8 @@ def write_records_csv(records: Sequence[RunRecord], out: TextIO) -> None:
     out.write(RECORD_COLUMNS + "\n")
     csv.writer(out, lineterminator="\n").writerows([
         r.config_id, r.graph, _fmt(r.pp), _fmt(r.sp), r.ranking, r.strategy,
-        r.run_id, r.coverage, r.duration, r.t_reach_csn, r.coverage_at_tsn]
+        r.run_id, r.coverage, r.duration, r.t_reach_csn, r.coverage_at_tsn,
+        r.forfeited]
         for r in records)
 
 
@@ -328,12 +356,13 @@ def read_records_csv(lines) -> List[RunRecord]:
     for f in reader:
         if not f:
             continue
-        if len(f) != 11:
-            raise ValueError(f"line {reader.line_num}: expected 11 fields, "
+        if len(f) != 12:
+            raise ValueError(f"line {reader.line_num}: expected 12 fields, "
                              f"got {len(f)}")
         records.append(RunRecord(
             f[0], f[1], float(f[2]), float(f[3]), f[4], f[5], int(f[6]),
-            int(f[7]), int(f[8]), int(f[9]) if f[9] else None, int(f[10])))
+            int(f[7]), int(f[8]), int(f[9]) if f[9] else None, int(f[10]),
+            int(f[11])))
     return records
 
 

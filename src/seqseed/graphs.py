@@ -1,7 +1,9 @@
 """Undirected simple graphs: loading, generation, components, serialization."""
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
+import math
+from functools import cached_property
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 
 class GraphParseError(ValueError):
@@ -50,6 +52,34 @@ class Graph:
             for v in neigh:
                 if u < v:
                     yield (u, v)
+
+    @cached_property
+    def arcs(self) -> Tuple[List[int], List[int]]:
+        """Both directions of every edge as parallel (tails, heads) lists,
+        in ascending (u, v) order; built on first use."""
+        adj = self.adjacency
+        return ([u for u, neigh in enumerate(adj) for _ in neigh],
+                [v for neigh in adj for v in neigh])
+
+
+def skip_sample(count: int, p: float, rng) -> Iterator[int]:
+    """Ascending indices below `count`, each kept independently with
+    probability p, by geometric skipping (Batagelj & Brandes 2005): one
+    `rng.random()` per kept index plus one, none at p = 0 or p = 1."""
+    if p <= 0.0:
+        return
+    if p >= 1.0:
+        yield from range(count)
+        return
+    log, log_q, rand = math.log, math.log1p(-p), rng.random
+    i, last = -1, count - 1
+    while True:
+        # failures before the next success: floor(log U / log(1 - p)), U in (0, 1]
+        skip = log(1.0 - rand()) / log_q
+        if skip >= last - i:
+            return
+        i += 1 + int(skip)
+        yield i
 
 
 def load_edge_list(source) -> Graph:
@@ -137,18 +167,19 @@ def generate_ba(n: int, m: int, rng) -> Graph:
 
 
 def generate_er(n: int, p: float, rng) -> Graph:
-    """Erdos-Renyi G(n, p): each unordered pair independently with probability p."""
+    """Erdos-Renyi G(n, p): each unordered pair independently with probability
+    p, skip-sampled over the n(n-1)/2 pairs in row order in O(n + m)."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must be in [0, 1]")
     if n < 1:
         raise ParameterError("need n >= 1")
-    rand = rng.random
     edges = []
-    if p > 0.0:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rand() < p:
-                    edges.append((u, v))
+    u, row_start, row_end = 0, 0, n - 1  # pairs of row u: (u, u+1..n-1)
+    for i in skip_sample(n * (n - 1) // 2, p, rng):
+        while i >= row_end:
+            u += 1
+            row_start, row_end = row_end, row_end + n - 1 - u
+        edges.append((u, u + 1 + i - row_start))
     return Graph(n, edges)
 
 

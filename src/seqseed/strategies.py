@@ -3,6 +3,9 @@
 All strategies spend at most n seeds, always on the highest-ranked nodes that
 are still inactive at the moment of injection. Budget that cannot be placed
 because every node is already active is forfeited and reported on the trace.
+A run is a traversal of one live-edge world (`run_on_world`); on the same
+world every sequential kind ends with an active set containing SN's, since
+each of SN's top-n nodes is seeded by it or active when its cursor passes.
 """
 from __future__ import annotations
 
@@ -11,7 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .diffusion import DiffusionState, DiffusionTrace, activate_seeds, ic_step, run_until_stop
+from .diffusion import (DiffusionState, DiffusionTrace, World, activate_seeds,
+                        ic_step, sample_world, spread)
 from .graphs import Graph, ParameterError
 from .ranking import Ranking
 
@@ -110,30 +114,30 @@ def _plan(spec: StrategySpec, n: int, t_sn: Optional[int]) -> List[int]:
     return _stage_sizes(n, ref) if n >= ref else [1] * n
 
 
-def _run_stages(graph: Graph, ranking: Ranking, state: DiffusionState,
-                sizes: List[int], until_stop: bool, pp: float, rng) -> int:
+def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
+                until_stop: bool, live: World) -> int:
     """Inject each stage's best inactive nodes, then wait one step or until
     diffusion stops; returns the seeds spent.
 
     A short batch means every node is active, so the later stages forfeit.
     Waiting one step after the last stage is the first step of the free tail.
     """
-    wait = run_until_stop if until_stop else ic_step
+    wait = spread if until_stop else ic_step
     cursor = 0
     spent = 0
     for size in sizes:
         batch, cursor = _next_batch(ranking, state, cursor, size)
         activate_seeds(state, batch)
         spent += len(batch)
-        wait(state, graph, pp, rng)
+        wait(state, live)
         if len(batch) < size:
             break
-    run_until_stop(state, graph, pp, rng)
+    spread(state, live)
     return spent
 
 
-def _run_buffered(graph: Graph, ranking: Ranking, state: DiffusionState,
-                  sizes: List[int], n: int, pp: float, rng) -> int:
+def _run_buffered(ranking: Ranking, state: DiffusionState, sizes: List[int],
+                  n: int, live: World) -> int:
     """Walk the initial top-n list one stage per step, banking every entry
     that diffusion already activated; spend the bank on the best inactive
     nodes once diffusion stops."""
@@ -146,14 +150,15 @@ def _run_buffered(graph: Graph, ranking: Ranking, state: DiffusionState,
         start += size
         activate_seeds(state, batch)
         spent += len(batch)
-        ic_step(state, graph, pp, rng)
-    run_until_stop(state, graph, pp, rng)
-    return spent + _run_stages(graph, ranking, state, [n - spent], True, pp, rng)
+        ic_step(state, live)
+    spread(state, live)
+    return spent + _run_stages(ranking, state, [n - spent], True, live)
 
 
-def run_strategy(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
-                 pp: float, rng, t_sn: Optional[int] = None) -> DiffusionTrace:
-    """Run a StrategySpec; TSN variants take t_sn from the spec or the arg.
+def run_on_world(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
+                 live: World, t_sn: Optional[int] = None) -> DiffusionTrace:
+    """Run a StrategySpec on one live-edge world of `graph`; TSN variants
+    take t_sn from the spec or the arg.
 
     Every kind is a list of stage sizes plus a wait mode: one diffusion step
     per stage, or (`_R`) until diffusion stops. `_B` adds buffering.
@@ -162,10 +167,14 @@ def run_strategy(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
     sizes = _plan(spec, n, t_sn)
     state = DiffusionState(graph)
     if spec.kind == "SQ_kPS_B":
-        spent = _run_buffered(graph, ranking, state, sizes, n, pp, rng)
+        spent = _run_buffered(ranking, state, sizes, n, live)
     else:
-        spent = _run_stages(graph, ranking, state, sizes,
-                            spec.kind.endswith("_R"), pp, rng)
+        spent = _run_stages(ranking, state, sizes, spec.kind.endswith("_R"), live)
     state.forfeited = n - spent
     return state.trace()
 
+
+def run_strategy(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
+                 pp: float, rng, t_sn: Optional[int] = None) -> DiffusionTrace:
+    """`run_on_world` on a world sampled from `rng`."""
+    return run_on_world(graph, ranking, spec, n, sample_world(graph, pp, rng), t_sn)

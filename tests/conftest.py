@@ -28,31 +28,43 @@ class ScriptRng:
         return 0.0 if v else 1.0
 
 
-def exact_process_expectation(run, pp):
-    """Exact expected coverage of a stochastic process by branching on every
-    Bernoulli draw it makes. `run(rng)` must return the final coverage and
-    consume one rng.random() per attempt. pp should be a Fraction.
+class LazyWorld:
+    """A live-edge world whose coins are drawn per node on first use.
+
+    `world[u]` draws one `rng.random() < pp` per neighbor of u, ascending,
+    the first time it is read, so a run draws only the coins of the nodes it
+    activates. It shares no code with `sample_world`'s skip sampler.
+    """
+
+    def __init__(self, graph, pp, rng):
+        self.adjacency = graph.adjacency
+        self.pp = pp
+        self.rng = rng
+        self.drawn = {}
+
+    def __getitem__(self, u):
+        if u not in self.drawn:
+            self.drawn[u] = [v for v in self.adjacency[u]
+                             if self.rng.random() < self.pp]
+        return self.drawn[u]
+
+
+def exact_process_expectation(run, graph, pp):
+    """Exact expected coverage of a process on the IC worlds of `graph`, by
+    branching on every coin it draws. `run(world)` must return the final
+    coverage; it gets a LazyWorld fed by a scripted rng. pp should be a
+    Fraction.
     """
     pp = Fraction(pp)
 
     def rec(script):
         try:
-            return Fraction(run(ScriptRng(script)))
+            return Fraction(run(LazyWorld(graph, pp, ScriptRng(script))))
         except ScriptExhausted:
             return (pp * rec(script + [True])
                     + (1 - pp) * rec(script + [False]))
 
     return rec([])
-
-
-class ValueRng:
-    """Hands out a fixed sequence of uniforms, then fails loudly."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from seqseed.graphs import components, generate_ba, generate_er, load_edge_list
 from seqseed.ranking import (RankingMethod, eigenvector_scores, pagerank_scores,
                              rank)
 from seqseed.stats import hodges_lehmann, wilcoxon_signed_rank
-from seqseed.strategies import StrategySpec, run_strategy
+from seqseed.strategies import StrategySpec, run_on_world, run_strategy
 
 from test_ranking import dense_eigenvector, dense_pagerank
 from test_stats import wilcoxon_brute_force
@@ -144,8 +144,8 @@ def test_criterion_3_reduction_identities():
 def test_criterion_4_theorem_instance():
     """The theorem SQ >= SN, checked by exact enumeration with n = 2.
 
-    Both processes are branched on every Bernoulli draw, in Fraction
-    arithmetic, at p in {1/4, 1/2, 3/4}. Sequential is SQ_1PS_R: inject the
+    Both processes are branched on every live-edge coin they draw, in
+    Fraction arithmetic, at p in {1/4, 1/2, 3/4}. Sequential is SQ_1PS_R: inject the
     top seed, then after diffusion stops inject the top inactive node.
 
     (a) Path a-b-c, ranking [a, c, b]. SN({a, c}) covers 2 + 2p - p^2.
@@ -167,11 +167,11 @@ def test_criterion_4_theorem_instance():
 
     def expectations(g, r, pp):
         e_sn = exact_process_expectation(
-            lambda rng: run_strategy(g, r, StrategySpec("SN"),
-                                     2, pp, rng).coverage, pp)
+            lambda live: run_on_world(g, r, StrategySpec("SN"),
+                                      2, live).coverage, g, pp)
         e_seq = exact_process_expectation(
-            lambda rng: run_strategy(g, r, StrategySpec("SQ_kPS_R", k=1),
-                                     2, pp, rng).coverage, pp)
+            lambda live: run_on_world(g, r, StrategySpec("SQ_kPS_R", k=1),
+                                      2, live).coverage, g, pp)
         return e_seq, e_sn
 
     for pp in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
@@ -270,11 +270,11 @@ def test_criterion_6_gain_decreases_with_pp(desk_grid):
     On this grid (mean over the 25 configs per graph and pp):
 
         gain        pp 0.05  0.10  0.15  0.20  0.25
-        grid mean      .054  .114  .151  .133  .096
-        ba1000         .083  .166  .174  .119  .087
-        er1000         .026  .063  .129  .147  .105
+        grid mean      .060  .116  .148  .140  .098
+        ba1000         .087  .164  .165  .121  .087
+        er1000         .032  .068  .130  .160  .109
 
-    with thresholds pp_c = ba1000 0.074, er1000 0.169 from each graph's
+    with thresholds pp_c = ba1000 0.074, er1000 0.171 from each graph's
     degree sequence. Within ba1000's own supercritical range the gain still
     rises from 0.10 to 0.15, so the decrease is claimed only over the grid
     pp values above every graph's threshold (0.20 and 0.25): strictly for

@@ -220,11 +220,11 @@ class TestGridAndSummarize:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_config_exits_nonzero(self, tmp_path, capsys, monkeypatch,
                                           jobs):
-        def run_strategy(*args, **kwargs):
+        def run_on_world(*args, **kwargs):
             raise RuntimeError("injected failure")
 
         # pool workers are forked, so they inherit the patch
-        monkeypatch.setattr(experiment, "run_strategy", run_strategy)
+        monkeypatch.setattr(experiment, "run_on_world", run_on_world)
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(GRID_CONFIG))
         code, _, err = run_cli(["grid", "--config", str(cfg), "--jobs", jobs,

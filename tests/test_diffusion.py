@@ -6,8 +6,9 @@ import pytest
 
 from seqseed.diffusion import (DiffusionState, activate_seeds,
                                expected_coverage_exact, ic_step,
-                               run_until_stop)
-from seqseed.graphs import ParameterError, components, generate_er, load_edge_list
+                               run_until_stop, sample_world)
+from seqseed.graphs import (ParameterError, components, generate_ba,
+                            generate_er, load_edge_list)
 
 
 class TestActivateSeeds:
@@ -31,17 +32,57 @@ class TestActivateSeeds:
             activate_seeds(st, [0])
 
 
+class TestSampleWorld:
+    def test_bad_pp_rejected(self, star5):
+        for pp in (-0.1, 1.5):
+            with pytest.raises(ParameterError):
+                sample_world(star5, pp, random.Random(0))
+
+    def test_no_directed_edge_twice(self):
+        # each directed edge has one coin per world, so a run tries it at
+        # most once; every live list is a sorted subset of the adjacency
+        for seed in range(20):
+            g = generate_er(25, 0.15, random.Random(seed))
+            live = sample_world(g, 0.5, random.Random(seed))
+            for u, out in enumerate(live):
+                assert list(out) == sorted(set(out))
+                assert set(out) <= set(g.adjacency[u])
+
+    def test_pp_zero_empty_pp_one_full(self):
+        g = load_edge_list("0 1\n1 2\n2 0\n2 3\n4 5\n6 6")  # 6 isolated
+        assert all(not out for out in sample_world(g, 0.0, random.Random(0)))
+        full = sample_world(g, 1.0, random.Random(0))
+        assert [list(out) for out in full] == g.adjacency
+
+    def test_edge_frequency_close_to_pp(self):
+        # every directed edge of a small BA graph is live ~ Binomial(T, pp)
+        g = generate_ba(12, 2, random.Random(4))
+        rng = random.Random(99)
+        trials = 4000
+        for pp in (0.1, 0.5, 0.9):
+            counts = {}
+            for _ in range(trials):
+                for u, out in enumerate(sample_world(g, pp, rng)):
+                    for v in out:
+                        counts[u, v] = counts.get((u, v), 0) + 1
+            sd = math.sqrt(pp * (1 - pp) / trials)
+            for u, v in zip(*g.arcs):
+                # 5 sd per edge keeps the family-wise false alarm rate tiny
+                assert abs(counts.get((u, v), 0) / trials - pp) < 5 * sd
+
+
 class TestIcStep:
     def test_pp_zero_stops(self, star5):
         st = DiffusionState(star5)
         activate_seeds(st, [0])
-        assert ic_step(st, star5, 0.0, random.Random(0)) == []
+        assert ic_step(st, sample_world(star5, 0.0, random.Random(0))) == []
         assert st.frontier == []
 
     def test_pp_one_activates_all_neighbors(self, star5):
         st = DiffusionState(star5)
         activate_seeds(st, [0])
-        assert ic_step(st, star5, 1.0, random.Random(0)) == [1, 2, 3, 4]
+        live = sample_world(star5, 1.0, random.Random(0))
+        assert ic_step(st, live) == [1, 2, 3, 4]
 
     def test_star_binomial_mean(self, star5):
         # 4 leaves at pp=0.5: newly activated ~ Binomial(4, 0.5)
@@ -51,14 +92,13 @@ class TestIcStep:
         for _ in range(trials):
             st = DiffusionState(star5, record_trace=False)
             activate_seeds(st, [0])
-            total += len(ic_step(st, star5, 0.5, rng))
+            total += len(ic_step(st, sample_world(star5, 0.5, rng)))
         assert total / trials == pytest.approx(2.0, abs=0.05)
 
-    def test_bad_pp_rejected(self, star5):
-        st = DiffusionState(star5)
-        activate_seeds(st, [0])
-        with pytest.raises(ParameterError):
-            ic_step(st, star5, 1.5, random.Random(0))
+    def test_empty_frontier_takes_no_step(self, path3):
+        st = DiffusionState(path3)
+        assert ic_step(st, [[1], [0, 2], [1]]) == []
+        assert st.step == 0 and st.entries == []
 
 
 class TestRunUntilStop:
@@ -116,16 +156,6 @@ class TestRunUntilStop:
             run_until_stop(st, g, 0.3, random.Random(777))
             traces.append(st.trace())
         assert traces[0] == traces[1]
-
-    def test_one_shot_attempts(self):
-        # no directed pair (u, v) is ever drawn twice in a run
-        for seed in range(20):
-            g = generate_er(25, 0.15, random.Random(seed))
-            st = DiffusionState(g)
-            st.attempt_log = []
-            activate_seeds(st, [0, 1])
-            run_until_stop(st, g, 0.5, random.Random(seed))
-            assert len(st.attempt_log) == len(set(st.attempt_log))
 
 
 def eccentricity(g, source, comp):

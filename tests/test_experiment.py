@@ -94,16 +94,16 @@ class TestRunGrid:
 
 
 def fail_runs_at_pp(monkeypatch, pp):
-    """Make every run of the configurations at `pp` raise. Pool workers are
-    forked, so they inherit the patch."""
-    real = experiment.run_strategy
+    """Make the world sampling of the configurations at `pp` raise. Pool
+    workers are forked, so they inherit the patch."""
+    real = experiment.sample_worlds
 
-    def run_strategy(graph, ranking, strat, n, run_pp, rng, t_sn=None):
-        if run_pp == pp:
+    def sample_worlds(spec, graph_name, graph, world_pp):
+        if world_pp == pp:
             raise RuntimeError("injected failure")
-        return real(graph, ranking, strat, n, run_pp, rng, t_sn=t_sn)
+        return real(spec, graph_name, graph, world_pp)
 
-    monkeypatch.setattr(experiment, "run_strategy", run_strategy)
+    monkeypatch.setattr(experiment, "sample_worlds", sample_worlds)
 
 
 class TestRunGridJobs:
@@ -124,6 +124,23 @@ class TestRunGridJobs:
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         with pytest.raises(ParameterError, match="jobs"):
             run_grid(small_spec([StrategySpec("SN")]), jobs=jobs)
+
+    def test_one_stream_per_config_and_world(self, monkeypatch):
+        """Each config derives its ranking stream, and each (graph, pp, run)
+        one world stream that every sp, ranking and strategy shares."""
+        calls = []
+        real = experiment.derive_rng
+
+        def derive_rng(*keys):
+            calls.append(keys)
+            return real(*keys)
+
+        monkeypatch.setattr(experiment, "derive_rng", derive_rng)
+        spec = pinned_grid()
+        run_grid(spec, jobs=1)
+        worlds = len(spec.graphs) * len(spec.pp_values) * spec.replications
+        assert len(calls) == len(spec.configs()) + worlds
+        assert len(set(calls)) == len(calls)
 
 
 class TestGridIdentity:
@@ -183,13 +200,13 @@ def test_gain_decreases_with_pp_past_transition():
 
 
 # sha256 of the records CSV of pinned_grid(); a change of it is a change of
-# the program's output bytes
-PINNED_RECORDS_SHA256 = "ac1dec08b56ab19ef078d45c58f1a0d58efa6bf40fbe26732a65ce248fb0f894"
+# the program's output bytes. Re-baselined when runs moved to shared
+# live-edge worlds and the records gained the forfeited column.
+PINNED_RECORDS_SHA256 = "31896d922e4a4e14374ca2c2efba508fc33682fb1ca7ea9a3ad45a630adfe6e3"
 # sha256 of the summary and scatter CSVs of summarize(run_grid(pinned_grid())),
-# taken when hodges_lehmann still took the median of the full Walsh list
-PINNED_SUMMARY_SHA256 = "a20aec09e1162e4fcbf496149ddb40efef98149aa5bccf7fb91192d734e78334"
-PINNED_SCATTER_SHA256 = "9757bdc35014bde07c4b825f397e0a65264432301fc8404d267582af7c8ce209"
-
+# re-baselined with the records
+PINNED_SUMMARY_SHA256 = "b05b26c98aefe88bdbef08bcc0a255d73905ab1b254d98e15d709980c81373e6"
+PINNED_SCATTER_SHA256 = "e51e31da189483f3857fccdb45530fc952225039b591ce5a3e294e91b9d904d8"
 
 def csv_sha256(write, rows):
     buf = io.StringIO()
@@ -226,7 +243,9 @@ def test_records_bytes_pinned():
                 if any(t.forfeited for t in traces)}
     # buffering forfeits only units it banked and could not spend
     assert {"SQ_2PS", "SQ_2PS_B", "SQ_TSN_R"} <= forfeits
-    assert records_sha256(run_grid(spec)) == PINNED_RECORDS_SHA256
+    records = run_grid(spec)
+    assert {r.strategy for r in records if r.forfeited} == forfeits
+    assert records_sha256(records) == PINNED_RECORDS_SHA256
 
 
 def test_records_bytes_pinned_two_jobs():
@@ -241,7 +260,7 @@ def test_summary_bytes_pinned():
 
 def make_record(cid, strategy, run_id, coverage, duration=3):
     return RunRecord(cid, "g", 0.1, 0.05, "degree", strategy, run_id,
-                     coverage, duration, None, coverage)
+                     coverage, duration, None, coverage, 0)
 
 
 class TestSummarize:
@@ -303,7 +322,7 @@ def run_records(draw):
         draw(st.sampled_from(["SN", "SQ_2PS_R", "SQ_TSN"])),
         draw(st.integers(0, 99)), draw(st.integers(0, 10 ** 6)),
         draw(st.integers(0, 10 ** 4)), draw(st.none() | st.integers(0, 10 ** 4)),
-        draw(st.integers(0, 10 ** 6)))
+        draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 10 ** 4)))
 
 
 class TestRecordsCsv:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqseed.graphs import (GraphParseError, ParameterError, components,
-                            generate_ba, generate_er, load_edge_list, serialize)
+                            generate_ba, generate_er, load_edge_list, serialize,
+                            skip_sample)
 
 
 class TestLoadEdgeList:
@@ -102,6 +103,38 @@ class TestGenerateER:
     def test_p_out_of_range(self):
         with pytest.raises(ParameterError):
             generate_er(10, 1.5, random.Random(0))
+
+    def test_pair_frequency_close_to_p(self):
+        # skip sampling over the pairs in row order keeps each pair ~ p
+        n, p, trials = 8, 0.3, 4000
+        rng = random.Random(17)
+        counts = {}
+        for _ in range(trials):
+            for e in generate_er(n, p, rng).edges():
+                counts[e] = counts.get(e, 0) + 1
+        sd = math.sqrt(p * (1 - p) / trials)
+        for u in range(n):
+            for v in range(u + 1, n):
+                assert abs(counts.get((u, v), 0) / trials - p) < 5 * sd
+
+
+class CountingRng(random.Random):
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+def test_skip_sample_one_draw_per_kept_index(p):
+    rng = CountingRng(3)
+    kept = list(skip_sample(1000, p, rng))
+    assert kept == sorted(set(kept)) and all(0 <= i < 1000 for i in kept)
+    if p in (0.0, 1.0):
+        assert len(kept) == 1000 * p and rng.draws == 0
+    else:
+        assert rng.draws == len(kept) + 1
 
 
 class TestComponents:

@@ -1,12 +1,16 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seqseed.graphs import ParameterError, generate_ba, generate_er, load_edge_list
+from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
+                            load_edge_list)
 from seqseed.ranking import Ranking, RankingMethod, rank
-from seqseed.strategies import StrategySpec, run_strategy, seed_count
+from seqseed.strategies import StrategySpec, run_on_world, run_strategy, seed_count
 
-from conftest import ValueRng
+from conftest import exact_process_expectation
 
 
 def degree_ranking(g, seed=0):
@@ -72,12 +76,12 @@ class TestRunSN:
                          4, 0.5, random.Random(0))
 
     def test_worked_example_single_stage(self):
-        # 30-node BA sample, 6 top-degree seeds, pp=0.5: under the pinned rng
-        # this run activates 18 nodes in 2 diffusion steps
+        # 30-node BA sample, 6 top-degree seeds, pp=0.5: on the world sampled
+        # from the pinned rng this run activates 23 nodes in 2 diffusion steps
         g = generate_ba(30, 2, random.Random(7))
         r = rank(g, RankingMethod.DEGREE, random.Random(1))
         t = run_strategy(g, r, StrategySpec("SN"), 6, 0.5, random.Random(330))
-        assert t.coverage == 18
+        assert t.coverage == 23
         assert t.duration == 2
 
 
@@ -99,13 +103,14 @@ class TestRunSqKps:
         assert t.duration == 5  # injections at steps 0..5
 
     def test_worked_example_one_per_stage(self):
-        # same 30-node BA sample, one seed per stage: 24 activated under the
-        # pinned rng, via dynamically skipping diffusion-activated nodes
+        # same 30-node BA sample, one seed per stage: 28 activated on the
+        # world of the pinned rng, via dynamically skipping
+        # diffusion-activated nodes
         g = generate_ba(30, 2, random.Random(7))
         r = rank(g, RankingMethod.DEGREE, random.Random(1))
         t = run_strategy(g, r, StrategySpec("SQ_kPS", k=1),
                          6, 0.5, random.Random(17))
-        assert t.coverage == 24
+        assert t.coverage == 28
 
     def test_saturation_forfeits_budget(self, path3):
         t = run_strategy(path3, degree_ranking(path3), StrategySpec("SQ_kPS", k=1),
@@ -146,12 +151,13 @@ class TestRunSqKpsB:
         # step 0: inject 0; 0->1 succeeds, so entry 1 is banked next step.
         g = load_edge_list("0 1\n1 2\n2 3")
         r = fixed_ranking(g, [0, 1, 2, 3])
-        rng = ValueRng([
-            0.0,  # 0 -> 1 succeeds: node 1 activated by diffusion
-            0.9,  # 1 -> 2 fails (scheduled entry 1 was banked this step)
-            0.9,  # 2 -> 1? no, 2 -> 3 fails after injecting node 2
-        ])
-        t = run_strategy(g, r, StrategySpec("SQ_kPS_B", k=1), 3, 0.5, rng)
+        live = [
+            [1],  # 0 -> 1 succeeds: node 1 activated by diffusion
+            [],   # 1 -> 2 fails (scheduled entry 1 was banked this step)
+            [],   # 2 -> 3 fails after injecting node 2
+            [],
+        ]
+        t = run_on_world(g, r, StrategySpec("SQ_kPS_B", k=1), 3, live)
         # banked unit is spent on node 3, the best inactive node, after stop
         assert t.coverage == 4
         injected = [v for e in t.entries for v in e.injected]
@@ -287,3 +293,84 @@ class TestRunStrategyDispatch:
                                random.Random(1), t_sn=2)
             assert got == run_strategy(g, r, StrategySpec(kind, t_sn=2), 4, 0.2,
                                        random.Random(1))
+
+
+def all_kinds(k, t_sn):
+    return [StrategySpec("SN"), StrategySpec("SQ_kPS", k=k),
+            StrategySpec("SQ_kPS_R", k=k), StrategySpec("SQ_kPS_B", k=k),
+            StrategySpec("SQ_TSN", t_sn=t_sn), StrategySpec("SQ_TSN_R", t_sn=t_sn)]
+
+
+def active_set(trace):
+    return {v for e in trace.entries for v in e.injected + e.activated}
+
+
+def world_from_coins(g, coins):
+    """The live adjacency with arc i of `g.arcs` live iff coins[i]."""
+    live = [[] for _ in range(g.node_count)]
+    for u, v, coin in zip(*g.arcs, coins):
+        if coin:
+            live[u].append(v)
+    return live
+
+
+@st.composite
+def world_cases(draw):
+    """A small graph, any of its live-edge worlds, a ranking and a budget."""
+    size = draw(st.integers(2, 10))
+    pairs = list(itertools.combinations(range(size), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=18))
+    g = Graph(size, sorted(edges))
+    coins = draw(st.lists(st.booleans(), min_size=len(g.arcs[0]),
+                          max_size=len(g.arcs[0])))
+    order = draw(st.permutations(range(size)))
+    n = draw(st.integers(1, size))
+    return (g, world_from_coins(g, coins), fixed_ranking(g, order), n,
+            draw(st.integers(1, n)), draw(st.integers(1, 5)))
+
+
+class TestSharedWorlds:
+    """The theorem SQ >= SN per realization: on a fixed world the final
+    active set is the live-edge closure of the injected seeds, and every
+    sequential kind seeds or finds active each of SN's top-n nodes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(world_cases())
+    def test_every_kind_contains_sn(self, case):
+        g, live, r, n, k, t_sn = case
+        kinds = all_kinds(k, t_sn)
+        sn, *sequential = [active_set(run_on_world(g, r, spec, n, live, t_sn))
+                           for spec in kinds]
+        for spec, active in zip(kinds[1:], sequential):
+            assert sn <= active, spec.label
+
+    @pytest.mark.parametrize("edges, order, n", [
+        ("0 1\n1 2", [0, 2, 1], 2),                       # path
+        ("0 1\n0 2\n0 3\n0 4", [1, 2, 0, 3, 4], 3),        # star
+        ("0 1\n1 2\n2 0\n2 3\n4 5", [0, 3, 1, 4, 2, 5], 3),  # triangle, tail, pair
+        ("0 1\n1 2\n2 0\n2 3\n3 4\n4 2", [2, 0, 3, 1, 4], 3),  # bowtie, E = 6
+    ], ids=["path3", "star5", "triangle-tail-pair", "bowtie"])
+    def test_exhaustive_worlds_match_branching_oracle(self, edges, order, n):
+        """Over all 2^(2E) directed coin vectors, weighted in Fraction
+        arithmetic, each kind covers at least SN on every world, and its mean
+        coverage equals the branching oracle's, which draws coins lazily per
+        node and shares no code with the skip sampler."""
+        g = load_edge_list(edges)
+        r = fixed_ranking(g, order)
+        pp = Fraction(1, 3)
+        kinds = all_kinds(1, 2)
+        arcs = len(g.arcs[0])
+        means = [Fraction(0)] * len(kinds)
+        for coins in itertools.product((False, True), repeat=arcs):
+            live = world_from_coins(g, coins)
+            weight = pp ** sum(coins) * (1 - pp) ** (arcs - sum(coins))
+            traces = [run_on_world(g, r, spec, n, live, 2) for spec in kinds]
+            sn = active_set(traces[0])
+            for i, t in enumerate(traces):
+                assert sn <= active_set(t), kinds[i].label
+                means[i] += weight * t.coverage
+        for spec, mean in zip(kinds, means):
+            oracle = exact_process_expectation(
+                lambda w, spec=spec: run_on_world(g, r, spec, n, w, 2).coverage,
+                g, pp)
+            assert mean == oracle, spec.label
