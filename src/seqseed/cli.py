@@ -69,8 +69,10 @@ def cmd_rank(args) -> int:
 
 def _trace_csv(trace: DiffusionTrace, out) -> None:
     out.write("step,seeds_injected,activated,cumulative_coverage\n")
-    for e in trace.entries:
-        out.write(f"{e.step},{len(e.injected)},{len(e.activated)},{e.cumulative}\n")
+    before = 0
+    for step, (cum, injected) in enumerate(zip(trace.cumulative, trace.injected)):
+        out.write(f"{step},{injected},{cum - before - injected},{cum}\n")
+        before = cum
 
 
 def cmd_simulate(args) -> int:
@@ -92,11 +94,11 @@ def cmd_simulate(args) -> int:
         with open(os.path.join(args.out_dir, f"trace_{run_id:04d}.csv"),
                   "w", encoding="utf-8") as fh:
             _trace_csv(trace, fh)
-    max_step = max(t.entries[-1].step if t.entries else 0 for t in traces)
+    steps = max(len(t.cumulative) for t in traces)
     with open(os.path.join(args.out_dir, "mean_curve.csv"), "w",
               encoding="utf-8") as fh:
         fh.write("step,mean_cumulative_coverage\n")
-        for step in range(max_step + 1):
+        for step in range(steps):
             mean = sum(t.cumulative_at(step) for t in traces) / len(traces)
             fh.write(f"{step},{mean:.6g}\n")
     mean_c = sum(t.coverage for t in traces) / len(traces)

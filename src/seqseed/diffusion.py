@@ -1,73 +1,81 @@
-"""Independent Cascade engine on live-edge worlds, with stepwise traces.
+"""Independent Cascade engine on live-edge worlds, with count-array traces.
 
 Under IC each newly activated node gets exactly one chance, during the step
 after its activation, to activate each then-inactive neighbor with
 probability pp. Every directed edge is therefore tried at most once per run,
 so one coin per directed edge, drawn before the run, fixes the whole run
 (Kempe, Kleinberg & Tardos 2003). `sample_world` draws those coins as a live
-out-adjacency, and the step functions walk live edges without drawing, so
-one world can be shared by every strategy run on it (common random
-numbers). On a fixed world the final active set is the live-edge closure of
-the injected seeds.
+out-adjacency, and the step loop walks live edges without drawing, so one
+world can be shared by every strategy run on it (common random numbers). On
+a fixed world the final active set is the live-edge closure of the injected
+seeds.
+
+One kernel, `advance`, takes every step: it injects a batch of seeds at the
+current step, then takes one step, or steps until a step activates nothing.
+`activate_seeds`, `ic_step`, `spread` and `run_until_stop` are entry points
+over it. A run's trace is counts per step, not node lists: the active count
+at the end of each step and the seeds injected at each step, from step 0 to
+the last, with the seeds in injection order and the final active flags. The
+set a step activates does not depend on the order of the frontier, so the
+frontier is never sorted.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .graphs import Graph, ParameterError, skip_sample
 
 
-@dataclass
-class TraceEntry:
-    step: int
-    injected: List[int]
-    activated: List[int]
-    cumulative: int
-
-
-@dataclass
+@dataclass(slots=True)
 class DiffusionTrace:
-    entries: List[TraceEntry]
+    """One run. `cumulative[s]` is the active count at the end of step s and
+    `injected[s]` the seeds injected at step s, for every step s from 0 to
+    the last; `seeds` lists the seeds in injection order and `flags` holds
+    the final active flags (the run state's own bytearray)."""
+    cumulative: List[int]
+    injected: List[int]
+    seeds: List[int]
+    flags: bytearray
     coverage: int
     duration: int
     forfeited: int = 0
 
     def cumulative_at(self, step: int) -> int:
-        """Cumulative coverage at the end of `step` (0 before any entry)."""
-        cum = 0
-        for e in self.entries:
-            if e.step > step:
-                break
-            cum = e.cumulative
-        return cum
+        """Cumulative coverage at the end of `step` (0 before step 0)."""
+        cum = self.cumulative
+        return cum[min(step, len(cum) - 1)] if cum and step >= 0 else 0
 
     def first_step_reaching(self, coverage: float) -> Optional[int]:
-        for e in self.entries:
-            if e.cumulative >= coverage:
-                return e.step
-        return None
+        """First step whose cumulative coverage reaches `coverage`, or None."""
+        # cumulative never decreases, so bisection finds it
+        step = bisect_left(self.cumulative, coverage)
+        return step if step < len(self.cumulative) else None
 
 
 class DiffusionState:
-    """Mutable per-run state; confined to a single run."""
+    """Mutable per-run state; confined to a single run. `cumulative`,
+    `injected` and `seeds` grow into the run's trace."""
 
     __slots__ = ("flags", "active_count", "frontier", "step", "last_activity",
-                 "entries", "forfeited")
+                 "cumulative", "injected", "seeds", "forfeited")
 
-    def __init__(self, graph: Graph, record_trace: bool = True):
+    def __init__(self, graph: Graph):
         self.flags = bytearray(graph.node_count)
         self.active_count = 0
         self.frontier: List[int] = []
         self.step = 0
         self.last_activity = 0
-        self.entries: Optional[List[TraceEntry]] = [] if record_trace else None
+        self.cumulative: List[int] = []
+        self.injected: List[int] = []
+        self.seeds: List[int] = []
         self.forfeited = 0
 
     def trace(self) -> DiffusionTrace:
-        return DiffusionTrace(self.entries if self.entries is not None else [],
-                              self.active_count, self.last_activity,
-                              self.forfeited)
+        return DiffusionTrace(self.cumulative, self.injected, self.seeds,
+                              self.flags, self.active_count,
+                              self.last_activity, self.forfeited)
 
 
 # A live-edge world: live[u] lists, ascending, the neighbors v whose directed
@@ -94,59 +102,83 @@ def sample_world(graph: Graph, pp: float, rng) -> List[Sequence[int]]:
     return live
 
 
-def activate_seeds(state: DiffusionState, seeds: Sequence[int]) -> DiffusionState:
-    """Inject seeds at the current step; they attempt neighbors next step."""
+UNTIL_STOP = -1  # `advance` steps: until a step activates nothing
+
+
+def advance(state: DiffusionState, live: World, steps: int,
+            seeds: List[int] = ()) -> DiffusionState:
+    """The step loop. Inject `seeds` at the current step, then take up to
+    `steps` steps (UNTIL_STOP: until a step activates nothing), in each of
+    which the frontier activates its inactive live out-neighbors. An empty
+    frontier takes no step and leaves the step count as it is.
+
+    Seeds attempt their neighbors in the step after their injection; the
+    state may keep the `seeds` list as its frontier. A seed that is already
+    active is rejected and the state left as it was.
+    """
     flags = state.flags
-    for s in seeds:
-        if flags[s]:
-            raise ValueError(f"seed {s} is already active")
-    if not seeds:
-        return state
-    for s in seeds:
-        flags[s] = 1
-    state.active_count += len(seeds)
-    state.frontier = state.frontier + list(seeds)
-    state.last_activity = state.step
-    entries = state.entries
-    if entries is not None:
-        if entries and entries[-1].step == state.step:
-            entries[-1].injected.extend(seeds)
-            entries[-1].cumulative = state.active_count
+    frontier = state.frontier
+    count = state.active_count
+    step = state.step
+    last = state.last_activity
+    cumulative = state.cumulative
+    injected = state.injected
+    if seeds:
+        for s in seeds:
+            if flags[s]:
+                raise ValueError(f"seed {s} is already active")
+        for s in seeds:
+            flags[s] = 1
+        count += len(seeds)
+        state.seeds.extend(seeds)
+        frontier = frontier + seeds if frontier else seeds
+        last = step
+        if cumulative:  # steps 0..step all have their entry already
+            cumulative[-1] = count
+            injected[-1] += len(seeds)
         else:
-            entries.append(TraceEntry(state.step, list(seeds), [], state.active_count))
+            cumulative.append(count)
+            injected.append(len(seeds))
+    while frontier and steps:
+        steps -= 1
+        newly: List[int] = []
+        for u in frontier:
+            for v in live[u]:
+                if not flags[v]:
+                    flags[v] = 1
+                    newly.append(v)
+        step += 1
+        if newly:
+            count += len(newly)
+            last = step
+        cumulative.append(count)
+        injected.append(0)
+        frontier = newly
+    state.frontier = frontier
+    state.active_count = count
+    state.step = step
+    state.last_activity = last
     return state
 
 
+def activate_seeds(state: DiffusionState, seeds: Sequence[int]) -> DiffusionState:
+    """Inject seeds at the current step; they attempt neighbors next step.
+    A batch that repeats a node is rejected."""
+    seeds = list(seeds)
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds repeat a node: {seeds}")
+    return advance(state, (), 0, seeds)
+
+
 def ic_step(state: DiffusionState, live: World) -> List[int]:
-    """One diffusion step: the frontier activates its inactive live
-    out-neighbors. Does nothing, not even advance the step, when the
-    frontier is empty."""
-    frontier = state.frontier
-    if not frontier:
-        return []
-    flags = state.flags
-    newly: List[int] = []
-    for u in frontier:
-        for v in live[u]:
-            if not flags[v]:
-                flags[v] = 1
-                newly.append(v)
-    newly.sort()
-    state.active_count += len(newly)
-    state.step += 1
-    state.frontier = newly
-    if newly:
-        state.last_activity = state.step
-    if state.entries is not None:
-        state.entries.append(TraceEntry(state.step, [], newly, state.active_count))
-    return newly
+    """One diffusion step; returns the nodes it activated. Does nothing, not
+    even advance the step, when the frontier is empty."""
+    return advance(state, live, 1).frontier
 
 
 def spread(state: DiffusionState, live: World) -> DiffusionState:
     """Step until a step activates nothing; terminates within N steps."""
-    while state.frontier:
-        ic_step(state, live)
-    return state
+    return advance(state, live, UNTIL_STOP)
 
 
 def run_until_stop(state: DiffusionState, graph: Graph, pp: float, rng) -> DiffusionState:

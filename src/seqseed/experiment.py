@@ -16,6 +16,7 @@ import hashlib
 import io
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
@@ -267,7 +268,8 @@ class ComparisonSummary:
 
 
 def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
-    """Pair every sequential strategy against its config's SN baseline."""
+    """Pair every sequential strategy against its config's SN baseline.
+    A repeated (config_id, strategy, run_id) raises ValueError."""
     by_config: Dict[str, Dict[str, List[RunRecord]]] = {}
     for rec in records:
         by_config.setdefault(rec.config_id, {}).setdefault(rec.strategy, []).append(rec)
@@ -287,6 +289,11 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
         mean_t_sn = sum(r.duration for r in sn) / len(sn)
         for strategy in sorted(block):
             runs = block[strategy]
+            if len({r.run_id for r in runs}) < len(runs):
+                counts = Counter(r.run_id for r in runs)
+                run = next(i for i, c in counts.items() if c > 1)
+                raise ValueError(f"repeated record: config {cid}, "
+                                 f"strategy {strategy}, run {run}")
             mean_c = sum(r.coverage for r in runs) / len(runs)
             mean_t = sum(r.duration for r in runs) / len(runs)
             cov_ratio = mean_c / mean_c_sn if mean_c_sn > 0 else None

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
@@ -125,10 +126,16 @@ def method_scores(graph: Graph, method: RankingMethod) -> List[float]:
     if method is RankingMethod.DEGREE2:
         return _degree2_scores(graph)
     if method is RankingMethod.PAGERANK:
-        return pagerank_scores(graph).scores
-    if method is RankingMethod.EIGENVECTOR:
-        return eigenvector_scores(graph).scores
-    raise ValueError(f"no deterministic scores for {method}")
+        result = pagerank_scores(graph)
+    elif method is RankingMethod.EIGENVECTOR:
+        result = eigenvector_scores(graph)
+    else:
+        raise ValueError(f"no deterministic scores for {method}")
+    if not result.converged:
+        warnings.warn(f"{method.value} power iteration did not converge in "
+                      f"{result.iterations} iterations", RuntimeWarning,
+                      stacklevel=2)
+    return result.scores
 
 
 def rank(graph: Graph, method: RankingMethod, rng,
@@ -148,7 +155,9 @@ def rank(graph: Graph, method: RankingMethod, rng,
     score = scores if scores is not None else method_scores(graph, method)
     tiebreak = list(range(n))
     rng.shuffle(tiebreak)
-    order = sorted(range(n), key=lambda v: (-score[v], tiebreak[v]))
+    # by score descending, ties by tiebreak ascending: two stable sorts
+    order = sorted(range(n), key=tiebreak.__getitem__)
+    order.sort(key=score.__getitem__, reverse=True)
     return Ranking(method, order, score)
 
 

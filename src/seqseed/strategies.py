@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .diffusion import (DiffusionState, DiffusionTrace, World, activate_seeds,
-                        ic_step, sample_world, spread)
+from .diffusion import (UNTIL_STOP, DiffusionState, DiffusionTrace, World,
+                        advance, sample_world)
 from .graphs import Graph, ParameterError
 from .ranking import Ranking
 
@@ -71,20 +71,6 @@ def seed_count(graph: Graph, sp: float) -> int:
     return max(1, math.floor(sp * graph.node_count + 0.5))
 
 
-def _next_batch(ranking: Ranking, state: DiffusionState, cursor: int,
-                want: int) -> Tuple[List[int], int]:
-    # nodes before the cursor are active forever, so the cursor is monotone
-    order = ranking.order
-    flags = state.flags
-    batch: List[int] = []
-    while cursor < len(order) and len(batch) < want:
-        v = order[cursor]
-        cursor += 1
-        if not flags[v]:
-            batch.append(v)
-    return batch, cursor
-
-
 def _check_budget(graph: Graph, n: int) -> None:
     if not 1 <= n <= graph.node_count:
         raise ParameterError(f"need 1 <= n <= {graph.node_count}, got {n}")
@@ -117,22 +103,33 @@ def _plan(spec: StrategySpec, n: int, t_sn: Optional[int]) -> List[int]:
 def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
                 until_stop: bool, live: World) -> int:
     """Inject each stage's best inactive nodes, then wait one step or until
-    diffusion stops; returns the seeds spent.
+    diffusion stops; returns the seeds spent. One kernel call per stage.
 
     A short batch means every node is active, so the later stages forfeit.
-    Waiting one step after the last stage is the first step of the free tail.
+    The last stage, or a short one, waits until diffusion stops: its one
+    step is the first step of the free tail.
     """
-    wait = spread if until_stop else ic_step
+    order = ranking.order
+    nodes = len(order)
+    flags = state.flags
     cursor = 0
     spent = 0
-    for size in sizes:
-        batch, cursor = _next_batch(ranking, state, cursor, size)
-        activate_seeds(state, batch)
-        spent += len(batch)
-        wait(state, live)
-        if len(batch) < size:
+    last = len(sizes) - 1
+    for i, size in enumerate(sizes):
+        # nodes before the cursor are active forever, so the cursor is monotone
+        batch: List[int] = []
+        want = size
+        while want and cursor < nodes:
+            v = order[cursor]
+            cursor += 1
+            if not flags[v]:
+                batch.append(v)
+                want -= 1
+        spent += size - want
+        advance(state, live, UNTIL_STOP if until_stop or want or i == last
+                else 1, batch)
+        if want:
             break
-    spread(state, live)
     return spent
 
 
@@ -148,10 +145,8 @@ def _run_buffered(ranking: Ranking, state: DiffusionState, sizes: List[int],
     for size in sizes:
         batch = [v for v in schedule[start:start + size] if not flags[v]]
         start += size
-        activate_seeds(state, batch)
         spent += len(batch)
-        ic_step(state, live)
-    spread(state, live)
+        advance(state, live, 1 if start < n else UNTIL_STOP, batch)
     return spent + _run_stages(ranking, state, [n - spent], True, live)
 
 

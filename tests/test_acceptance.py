@@ -69,7 +69,7 @@ def test_criterion_1_oracle_equivalence():
         total = 0
         total_sq = 0
         for _ in range(trials):
-            st = DiffusionState(g, record_trace=False)
+            st = DiffusionState(g)
             activate_seeds(st, seeds)
             run_until_stop(st, g, pp, run_rng)
             c = st.active_count
@@ -114,9 +114,8 @@ def test_criterion_2_degenerate_exactness():
             comp_of[v] = frozenset(c)
     for name, run in runs.items():
         t = run(1.0, random.Random(8))
-        injected = [v for e in t.entries for v in e.injected]
         union = set()
-        for v in injected:
+        for v in t.seeds:
             union |= comp_of[v]
         assert t.coverage == len(union), name
     report(2, "degenerate exactness")

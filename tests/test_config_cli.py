@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -176,6 +177,45 @@ class TestSimulate:
             assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 over the names and bytes of every CSV `seqseed simulate` writes
+# (trace_*.csv and mean_curve.csv) for one kind on a 60-node BA graph; a
+# change of it is a change of simulate's output bytes
+PINNED_SIMULATE_SHA256 = {
+    "SN":
+        "99e78a4a0f82eb511f1ee840318e99e4ff7601d777e5d07a1dce79fe360612e8",
+    "SQ_2PS":
+        "f7c840ac97b4e9e34e474283b7eba31586da56ca8965cd99ea3e3545d2be736a",
+    "SQ_2PS_R":
+        "eed7625d95da94b8cd3dab28805e0d588b4976ce53b539baa5fe361a6b0080f0",
+    "SQ_2PS_B":
+        "32bd28fff2bfcbd9c9ffef309938a567a7b2f2bdb596058ae29c19c1788138d0",
+    "SQ_TSN":
+        "31b206c8e8b6dd43d98bfeea48db75e3a80796aac88bda2833182864a05aba8b",
+    "SQ_TSN_R":
+        "d1fce52904e43fc7e57d63034665533a1d0541be140fcfe169e53b101c6b9aec",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(PINNED_SIMULATE_SHA256))
+def test_simulate_bytes_pinned(tmp_path, capsys, strategy):
+    """n = 9 seeds (k = 2 leaves a remainder), pp > 0 and several runs."""
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "ba", "--n", "60", "--m", "2", "--seed", "3",
+             "--out", str(gpath)], capsys)
+    code, _, _ = run_cli(
+        ["simulate", "--graph", str(gpath), "--strategy", strategy,
+         "--ranking", "degree", "--sp", "0.15", "--pp", "0.3",
+         "--runs", "5", "--seed", "9", "--out-dir", str(tmp_path / "sim")],
+        capsys)
+    assert code == 0
+    paths = sorted((tmp_path / "sim").glob("*.csv"))
+    assert len(paths) == 6  # five traces and the mean curve
+    digest = hashlib.sha256()
+    for p in paths:
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert digest.hexdigest() == PINNED_SIMULATE_SHA256[strategy]
+
+
 class TestGridAndSummarize:
     def test_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"
@@ -196,6 +236,21 @@ class TestGridAndSummarize:
         # hl_delta and wilcoxon_p columns populated
         assert all(line.split(",")[7] and line.split(",")[8]
                    for line in summary[1:])
+
+    def test_summarize_repeated_rows_exits_nonzero(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CONFIG))
+        code, _, _ = run_cli(["grid", "--config", str(cfg),
+                              "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 0
+        header, *rows = (tmp_path / "out" / "records.csv").read_text().splitlines()
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("\n".join([header] + rows + rows) + "\n")
+        code, _, err = run_cli(["summarize", "--records", str(doubled),
+                                "--out-dir", str(tmp_path / "sum")], capsys)
+        assert code == 1
+        assert "repeated record: config ba|pp=0.1|sp=0.05|degree" in err
+        assert not (tmp_path / "sum" / "summary.csv").exists()
 
     def test_grid_byte_identical_reruns(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"

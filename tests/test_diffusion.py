@@ -23,13 +23,31 @@ class TestActivateSeeds:
         st = DiffusionState(path3)
         activate_seeds(st, [])
         assert st.active_count == 0
-        assert st.entries == []
+        assert st.cumulative == [] and st.injected == [] and st.seeds == []
 
     def test_already_active_seed_rejected(self, path3):
         st = DiffusionState(path3)
         activate_seeds(st, [0])
         with pytest.raises(ValueError):
             activate_seeds(st, [0])
+
+    def test_rejected_batch_leaves_state_unchanged(self, path3):
+        st = DiffusionState(path3)
+        activate_seeds(st, [1])
+        with pytest.raises(ValueError, match="seed 1 is already active"):
+            activate_seeds(st, [2, 1])
+        with pytest.raises(ValueError, match="repeat a node"):
+            activate_seeds(st, [0, 0])
+        assert st.flags == bytearray([0, 1, 0])
+        assert st.active_count == 1 and st.frontier == [1]
+        assert st.seeds == [1] and st.cumulative == [1]
+
+    def test_injections_at_one_step_share_its_entry(self, path3):
+        st = DiffusionState(path3)
+        activate_seeds(st, [0])
+        activate_seeds(st, [2])
+        assert st.seeds == [0, 2] and st.frontier == [0, 2]
+        assert st.cumulative == [2] and st.injected == [2]
 
 
 class TestSampleWorld:
@@ -90,7 +108,7 @@ class TestIcStep:
         trials = 10 ** 5
         total = 0
         for _ in range(trials):
-            st = DiffusionState(star5, record_trace=False)
+            st = DiffusionState(star5)
             activate_seeds(st, [0])
             total += len(ic_step(st, sample_world(star5, 0.5, rng)))
         assert total / trials == pytest.approx(2.0, abs=0.05)
@@ -98,7 +116,7 @@ class TestIcStep:
     def test_empty_frontier_takes_no_step(self, path3):
         st = DiffusionState(path3)
         assert ic_step(st, [[1], [0, 2], [1]]) == []
-        assert st.step == 0 and st.entries == []
+        assert st.step == 0 and st.cumulative == []
 
 
 class TestRunUntilStop:
@@ -124,7 +142,7 @@ class TestRunUntilStop:
         trials = 10 ** 5
         total = 0
         for _ in range(trials):
-            st = DiffusionState(path3, record_trace=False)
+            st = DiffusionState(path3)
             activate_seeds(st, [0])
             run_until_stop(st, path3, 0.5, rng)
             total += st.active_count
@@ -144,8 +162,10 @@ class TestRunUntilStop:
         st = DiffusionState(g)
         activate_seeds(st, list(range(4)))
         run_until_stop(st, g, 0.4, random.Random(5))
-        cums = [e.cumulative for e in st.entries]
+        cums = st.cumulative
         assert cums == sorted(cums)
+        assert len(cums) == st.step + 1 and cums[-1] == st.active_count
+        assert st.injected == [4] + [0] * st.step
 
     def test_determinism(self):
         g = generate_er(60, 0.06, random.Random(2))
@@ -198,7 +218,7 @@ class TestExactOracle:
         trials = 20000
         vals = []
         for _ in range(trials):
-            st = DiffusionState(g, record_trace=False)
+            st = DiffusionState(g)
             activate_seeds(st, [0, 1])
             run_until_stop(st, g, 0.4, rng)
             vals.append(st.active_count)

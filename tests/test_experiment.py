@@ -305,6 +305,18 @@ class TestSummarize:
         rng.shuffle(shuffled)
         assert summarize(records) == summarize(shuffled)
 
+    def test_repeated_record_raises(self):
+        # every row of a 60-node BA grid's records, twice
+        records = run_grid(small_spec([StrategySpec.parse("SQ_1PS_R")],
+                                      replications=4))
+        assert len(records) == 8
+        summarize(records)
+        with pytest.raises(ValueError, match=r"repeated record: config "
+                           r"ba60\|pp=0\.2\|sp=0\.05\|degree, strategy SN, run 0"):
+            summarize(records + records)
+        with pytest.raises(ValueError, match="strategy SQ_1PS_R, run 3"):
+            summarize(records + records[-1:])
+
 
 # printable text, with the CSV delimiter, the quote and the config id separator
 GRAPH_NAMES = st.text(st.sampled_from(',"|')

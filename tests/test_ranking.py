@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqseed import ranking
 from seqseed.graphs import generate_er, load_edge_list
-from seqseed.ranking import (Ranking, RankingMethod, eigenvector_scores,
+from seqseed.ranking import (PowerIterationResult, Ranking, RankingMethod,
+                             eigenvector_scores, method_scores,
                              pagerank_scores, rank, write_ranking_csv)
 
 
@@ -49,6 +51,20 @@ class TestRank:
             r = rank(g, method, random.Random(2))
             scores = [r.score[v] for v in r.order]
             assert all(a >= b for a, b in zip(scores, scores[1:]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40),
+           st.integers(0, 1000))
+    def test_order_is_score_then_shuffled_tiebreak(self, ints, seed):
+        # score descending, ties by a uniform shuffle drawn from the rng
+        g = generate_er(len(ints), 0.0, random.Random(0))
+        score = [float(x) for x in ints]
+        tiebreak = list(range(len(ints)))
+        random.Random(seed).shuffle(tiebreak)
+        expected = sorted(range(len(ints)),
+                          key=lambda v: (-score[v], tiebreak[v]))
+        r = rank(g, RankingMethod.DEGREE, random.Random(seed), scores=score)
+        assert r.order == expected
 
     def test_rerank_same_seed_identical(self):
         g = generate_er(30, 0.2, random.Random(4))
@@ -168,6 +184,26 @@ class TestEigenvector:
         g = load_edge_list("0 0\n1 1")
         res = eigenvector_scores(g)
         assert res.scores == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("method, scorer", [
+    (RankingMethod.PAGERANK, "pagerank_scores"),
+    (RankingMethod.EIGENVECTOR, "eigenvector_scores")])
+def test_unconverged_power_iteration_warns(monkeypatch, method, scorer):
+    g = cycle(4)
+    monkeypatch.setattr(ranking, scorer,
+                        lambda graph: PowerIterationResult([0.25] * 4, 1000, False))
+    with pytest.warns(RuntimeWarning,
+                      match=f"{method.value} power iteration did not "
+                            f"converge in 1000 iterations"):
+        assert method_scores(g, method) == [0.25] * 4
+
+
+def test_converged_power_iteration_is_silent(recwarn):
+    g = cycle(5)
+    for method in (RankingMethod.PAGERANK, RankingMethod.EIGENVECTOR):
+        method_scores(g, method)
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
 def dense_adj(g):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqseed.diffusion import sample_world
 from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
                             load_edge_list)
 from seqseed.ranking import Ranking, RankingMethod, rank
@@ -160,8 +161,10 @@ class TestRunSqKpsB:
         t = run_on_world(g, r, StrategySpec("SQ_kPS_B", k=1), 3, live)
         # banked unit is spent on node 3, the best inactive node, after stop
         assert t.coverage == 4
-        injected = [v for e in t.entries for v in e.injected]
-        assert injected == [0, 2, 3]
+        assert t.seeds == [0, 2, 3]
+        # step 1 banks entry 1; the bank is spent at step 3, after the stop
+        assert t.injected == [1, 0, 1, 1, 0]
+        assert t.cumulative == [1, 2, 3, 4, 4]
 
     def test_budget_safety(self):
         g = generate_ba(60, 2, random.Random(2))
@@ -169,10 +172,9 @@ class TestRunSqKpsB:
         for seed in range(30):
             t = run_strategy(g, r, StrategySpec("SQ_kPS_B", k=2),
                              9, 0.4, random.Random(seed))
-            injected = [v for e in t.entries for v in e.injected]
             # every budget unit is either spent on a distinct node or forfeited
-            assert len(injected) + t.forfeited == 9
-            assert len(injected) == len(set(injected))
+            assert len(t.seeds) + t.forfeited == 9
+            assert len(t.seeds) == len(set(t.seeds)) == sum(t.injected)
 
     def test_duration_close_to_kps(self):
         # buffering is meant to keep the non-revival schedule's time scale
@@ -194,7 +196,7 @@ class TestRunSqTsn:
         g = generate_ba(40, 2, random.Random(1))
         t = run_strategy(g, degree_ranking(g), StrategySpec("SQ_TSN", t_sn=4),
                          10, 0.0, random.Random(0))
-        sizes = [len(e.injected) for e in t.entries if e.injected]
+        sizes = [c for c in t.injected if c]
         assert sizes == [3, 3, 2, 2]
 
     def test_tsn_one_equals_sn(self):
@@ -213,7 +215,7 @@ class TestRunSqTsn:
                          3, 0.0, random.Random(0))
         b = run_strategy(g, r, StrategySpec("SQ_kPS", k=1), 3, 0.0, random.Random(0))
         assert a == b
-        assert sum(1 for e in a.entries if e.injected) == 3
+        assert sum(1 for c in a.injected if c) == 3
 
 
 class TestRunSqTsnR:
@@ -221,9 +223,9 @@ class TestRunSqTsnR:
         g = generate_ba(40, 2, random.Random(1))
         t = run_strategy(g, degree_ranking(g), StrategySpec("SQ_TSN_R", t_sn=4),
                          10, 0.0, random.Random(0))
-        stages = sum(1 for e in t.entries if e.injected)
+        stages = sum(1 for c in t.injected if c)
         assert stages == 4
-        assert t.entries[-1].step == 4  # each stage lasted exactly one step
+        assert len(t.cumulative) - 1 == 4  # each stage lasted exactly one step
 
     def test_tsn_one_equals_sn(self):
         g = generate_ba(50, 2, random.Random(3))
@@ -254,26 +256,26 @@ class TestBudgetSafetyAcrossStrategies:
         for seed in range(10):
             for pp in (0.1, 0.5, 0.9):
                 for t in self.run_all(g, r, 8, pp, seed):
-                    injected = [v for e in t.entries for v in e.injected]
-                    assert len(injected) <= 8
-                    assert len(injected) == len(set(injected))
+                    assert len(t.seeds) <= 8
+                    assert len(t.seeds) == len(set(t.seeds))
 
     def test_injected_seed_was_best_inactive(self):
         # the i-th seed is the highest-ranked node inactive at injection time
+        # SQ_kPS_R injects once diffusion stops, so what is active then is
+        # the live-edge closure of the earlier seeds
         g = generate_er(40, 0.1, random.Random(8))
         r = degree_ranking(g)
-        t = run_strategy(g, r, StrategySpec("SQ_kPS_R", k=1),
-                         6, 0.5, random.Random(4))
-        active = set()
+        live = sample_world(g, 0.5, random.Random(4))
+        t = run_on_world(g, r, StrategySpec("SQ_kPS_R", k=1), 6, live)
         pos = {v: i for i, v in enumerate(r.order)}
-        for e in t.entries:
-            # within a step, diffusion activations land before the injection
-            active.update(e.activated)
-            for s in e.injected:
-                best = min((v for v in range(40) if v not in active),
-                           key=lambda v: pos[v])
-                assert s == best
-                active.add(s)
+        for i, s in enumerate(t.seeds):
+            active = closure(live, t.seeds[:i])
+            best = min((v for v in range(40) if v not in active),
+                       key=lambda v: pos[v])
+            assert s == best
+        assert active_set(t) == closure(live, t.seeds)
+        # budget is forfeited only once every node is active
+        assert t.forfeited == 0 or len(active_set(t)) == 40
 
 
 class TestRunStrategyDispatch:
@@ -302,7 +304,19 @@ def all_kinds(k, t_sn):
 
 
 def active_set(trace):
-    return {v for e in trace.entries for v in e.injected + e.activated}
+    return {v for v, flag in enumerate(trace.flags) if flag}
+
+
+def closure(live, seeds):
+    """The nodes reachable from `seeds` over live edges, by BFS."""
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for v in live[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def world_from_coins(g, coins):
@@ -343,6 +357,28 @@ class TestSharedWorlds:
                            for spec in kinds]
         for spec, active in zip(kinds[1:], sequential):
             assert sn <= active, spec.label
+
+    @settings(max_examples=300, deadline=None)
+    @given(world_cases())
+    def test_trace_arrays_consistent(self, case):
+        g, live, r, n, k, t_sn = case
+        for spec in all_kinds(k, t_sn):
+            t = run_on_world(g, r, spec, n, live, t_sn)
+            cum = t.cumulative
+            # one entry per step 0..last; the last step activates nothing,
+            # so it is the step after the last activity
+            assert len(cum) == len(t.injected) == t.duration + 2, spec.label
+            assert cum[-1] == cum[-2] == t.coverage == sum(t.flags)
+            assert all(a <= b for a, b in zip(cum, cum[1:]))
+            assert sum(t.injected) + t.forfeited == n
+            assert sum(t.injected) == len(t.seeds) == len(set(t.seeds))
+            assert active_set(t) == closure(live, t.seeds)
+            for c in range(t.coverage + 2):
+                reached = [s for s, cs in enumerate(cum) if cs >= c]
+                assert t.first_step_reaching(c) == (
+                    reached[0] if reached else None)
+            assert [t.cumulative_at(s) for s in range(-1, len(cum) + 1)] == (
+                [0] + cum + [cum[-1]])
 
     @pytest.mark.parametrize("edges, order, n", [
         ("0 1\n1 2", [0, 2, 1], 2),                       # path
