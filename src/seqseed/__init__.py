@@ -2,10 +2,9 @@
 
 from .graphs import Graph, GraphParseError, ParameterError, components, generate_ba, generate_er, load_edge_list, serialize
 from .ranking import Ranking, RankingMethod, eigenvector_scores, pagerank_scores, rank
-from .diffusion import (DiffusionState, DiffusionTrace, activate_seeds,
-                        expected_coverage_exact, ic_step, run_until_stop,
-                        sample_world, spread)
-from .strategies import StrategySpec, run_on_world, run_strategy, seed_count
+from .diffusion import (DiffusionState, activate_seeds, expected_coverage_exact,
+                        run_until_stop, sample_world)
+from .strategies import StrategySpec, run_on_worlds, run_strategy, seed_count
 from .experiment import (ComparisonSummary, GridSpec, RunRecord, derive_rng,
                          run_grid, summarize)
 from .stats import hodges_lehmann, wilcoxon_signed_rank

@@ -12,7 +12,7 @@ import random
 import sys
 
 from .config import ConfigError, load_grid_config_file
-from .diffusion import DiffusionTrace
+from .diffusion import DiffusionState
 from .experiment import (GridError, GridSpec, read_records_csv, run_config,
                          run_grid, summarize, write_records_csv,
                          write_scatter_csv, write_summary_csv)
@@ -67,7 +67,7 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _trace_csv(trace: DiffusionTrace, out) -> None:
+def _trace_csv(trace: DiffusionState, out) -> None:
     out.write("step,seeds_injected,activated,cumulative_coverage\n")
     before = 0
     for step, (cum, injected) in enumerate(zip(trace.cumulative, trace.injected)):

@@ -38,13 +38,23 @@ class ConfigError(ValueError):
     """Grid config violates the schema; message names the offending field."""
 
 
+def _typed(value, types, where: str):
+    """`value` if it has one of `types`; a bool never counts as a number."""
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ConfigError(f"{where}: wrong type {type(value).__name__}")
+    return value
+
+
 def _require(obj: dict, field: str, types, where: str):
     if field not in obj:
         raise ConfigError(f"{where}: missing field {field!r}")
-    value = obj[field]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{field}: wrong type {type(value).__name__}")
-    return value
+    return _typed(obj[field], types, f"{where}.{field}")
+
+
+def _require_list(obj: dict, field: str, types, where: str) -> list:
+    """A list field each of whose entries has one of `types`."""
+    return [_typed(x, types, f"{where}.{field}[{i}]")
+            for i, x in enumerate(_require(obj, field, list, where))]
 
 
 def _build_graph(entry: dict, index: int, base_dir: str) -> Tuple[str, Graph]:
@@ -79,8 +89,9 @@ def _build_strategy(entry, index: int) -> StrategySpec:
             return StrategySpec.parse(entry)
         if isinstance(entry, dict):
             kind = _require(entry, "kind", str, where)
-            return StrategySpec.parse(kind, k=entry.get("k"),
-                                      t_sn=entry.get("t_sn"))
+            return StrategySpec.parse(kind, **{
+                field: _require(entry, field, int, where)
+                for field in ("k", "t_sn") if field in entry})
     except ParameterError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}: expected a name or an object")
@@ -96,9 +107,9 @@ def load_grid_config(data, base_dir: str = ".") -> GridSpec:
     replications = _require(data, "replications", int, "config")
     raw_graphs = _require(data, "graphs", list, "config")
     graphs = [_build_graph(g, i, base_dir) for i, g in enumerate(raw_graphs)]
-    pp_values = [float(x) for x in _require(data, "pp", list, "config")]
-    sp_values = [float(x) for x in _require(data, "sp", list, "config")]
-    raw_rankings = _require(data, "rankings", list, "config")
+    pp_values, sp_values = ([float(x) for x in _require_list(
+        data, field, (int, float), "config")] for field in ("pp", "sp"))
+    raw_rankings = _require_list(data, "rankings", str, "config")
     try:
         rankings = [RankingMethod.from_string(r) for r in raw_rankings]
     except ValueError as exc:

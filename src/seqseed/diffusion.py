@@ -12,12 +12,12 @@ seeds.
 
 One kernel, `advance`, takes every step: it injects a batch of seeds at the
 current step, then takes one step, or steps until a step activates nothing.
-`activate_seeds`, `ic_step`, `spread` and `run_until_stop` are entry points
-over it. A run's trace is counts per step, not node lists: the active count
-at the end of each step and the seeds injected at each step, from step 0 to
-the last, with the seeds in injection order and the final active flags. The
-set a step activates does not depend on the order of the frontier, so the
-frontier is never sorted.
+`activate_seeds` and `run_until_stop` are entry points over it. The run
+state is the run's trace, and it holds counts per step, not node lists: the
+active count at the end of each step and the seeds injected at each step,
+from step 0 to the last, with the seeds in injection order and the active
+flags. The set a step activates does not depend on the order of the
+frontier, so the frontier is never sorted.
 """
 from __future__ import annotations
 
@@ -28,19 +28,39 @@ from typing import List, Optional, Sequence
 from .graphs import Graph, ParameterError, skip_sample
 
 
-@dataclass(slots=True)
-class DiffusionTrace:
-    """One run. `cumulative[s]` is the active count at the end of step s and
-    `injected[s]` the seeds injected at step s, for every step s from 0 to
-    the last; `seeds` lists the seeds in injection order and `flags` holds
-    the final active flags (the run state's own bytearray)."""
+@dataclass(slots=True, init=False)
+class DiffusionState:
+    """The state of one run, which is also its trace: `cumulative[s]` is the
+    active count at the end of step s and `injected[s]` the seeds injected
+    at step s, for steps 0 to the current one, and `seeds` lists the seeds
+    in injection order. `coverage` is the active count, `duration` the last
+    step that activated a node and `forfeited` the budget a strategy could
+    not place. States compare equal when all their fields do."""
+    flags: bytearray
+    coverage: int
+    frontier: List[int]
+    step: int
+    duration: int
     cumulative: List[int]
     injected: List[int]
     seeds: List[int]
-    flags: bytearray
-    coverage: int
-    duration: int
-    forfeited: int = 0
+    forfeited: int
+
+    def __init__(self, graph: Graph):
+        self.flags = bytearray(graph.node_count)
+        self.coverage = 0
+        self.frontier = []
+        self.step = 0
+        self.duration = 0
+        self.cumulative = []
+        self.injected = []
+        self.seeds = []
+        self.forfeited = 0
+
+    @property
+    def last_activity(self) -> int:
+        """`duration` under its former name, for callers not yet moved."""
+        return self.duration
 
     def cumulative_at(self, step: int) -> int:
         """Cumulative coverage at the end of `step` (0 before step 0)."""
@@ -52,30 +72,6 @@ class DiffusionTrace:
         # cumulative never decreases, so bisection finds it
         step = bisect_left(self.cumulative, coverage)
         return step if step < len(self.cumulative) else None
-
-
-class DiffusionState:
-    """Mutable per-run state; confined to a single run. `cumulative`,
-    `injected` and `seeds` grow into the run's trace."""
-
-    __slots__ = ("flags", "active_count", "frontier", "step", "last_activity",
-                 "cumulative", "injected", "seeds", "forfeited")
-
-    def __init__(self, graph: Graph):
-        self.flags = bytearray(graph.node_count)
-        self.active_count = 0
-        self.frontier: List[int] = []
-        self.step = 0
-        self.last_activity = 0
-        self.cumulative: List[int] = []
-        self.injected: List[int] = []
-        self.seeds: List[int] = []
-        self.forfeited = 0
-
-    def trace(self) -> DiffusionTrace:
-        return DiffusionTrace(self.cumulative, self.injected, self.seeds,
-                              self.flags, self.active_count,
-                              self.last_activity, self.forfeited)
 
 
 # A live-edge world: live[u] lists, ascending, the neighbors v whose directed
@@ -118,9 +114,9 @@ def advance(state: DiffusionState, live: World, steps: int,
     """
     flags = state.flags
     frontier = state.frontier
-    count = state.active_count
+    count = state.coverage
     step = state.step
-    last = state.last_activity
+    last = state.duration
     cumulative = state.cumulative
     injected = state.injected
     if seeds:
@@ -155,9 +151,9 @@ def advance(state: DiffusionState, live: World, steps: int,
         injected.append(0)
         frontier = newly
     state.frontier = frontier
-    state.active_count = count
+    state.coverage = count
     state.step = step
-    state.last_activity = last
+    state.duration = last
     return state
 
 
@@ -170,20 +166,10 @@ def activate_seeds(state: DiffusionState, seeds: Sequence[int]) -> DiffusionStat
     return advance(state, (), 0, seeds)
 
 
-def ic_step(state: DiffusionState, live: World) -> List[int]:
-    """One diffusion step; returns the nodes it activated. Does nothing, not
-    even advance the step, when the frontier is empty."""
-    return advance(state, live, 1).frontier
-
-
-def spread(state: DiffusionState, live: World) -> DiffusionState:
-    """Step until a step activates nothing; terminates within N steps."""
-    return advance(state, live, UNTIL_STOP)
-
-
 def run_until_stop(state: DiffusionState, graph: Graph, pp: float, rng) -> DiffusionState:
-    """Spread on a world sampled from `rng`."""
-    return spread(state, sample_world(graph, pp, rng))
+    """Step until a step activates nothing, on a world sampled from `rng`;
+    terminates within N steps."""
+    return advance(state, sample_world(graph, pp, rng), UNTIL_STOP)
 
 
 def expected_coverage_exact(graph: Graph, seeds: Sequence[int], pp):

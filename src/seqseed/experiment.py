@@ -18,13 +18,13 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
-from .diffusion import DiffusionTrace, World, sample_world
+from .diffusion import DiffusionState, World, sample_world
 from .graphs import Graph, ParameterError
-from .ranking import Ranking, RankingMethod, method_scores, rank
+from .ranking import RankingMethod, method_scores, rank
 from .stats import hodges_lehmann, wilcoxon_signed_rank
-from .strategies import StrategySpec, run_on_world, seed_count
+from .strategies import StrategySpec, run_on_worlds, seed_count
 
 
 def derive_rng(master_seed: int, *keys) -> random.Random:
@@ -127,7 +127,7 @@ class ConfigRuns:
     """
     n: int
     t_sn: int
-    runs: List[Tuple[str, Iterable[DiffusionTrace]]]
+    runs: List[Tuple[str, Iterable[DiffusionState]]]
 
 
 def sample_worlds(spec: GridSpec, graph_name: str, graph: Graph,
@@ -136,13 +136,6 @@ def sample_worlds(spec: GridSpec, graph_name: str, graph: Graph,
     return [sample_world(graph, pp, derive_rng(spec.master_seed, graph_name,
                                                f"pp={pp:g}", "world", r))
             for r in range(spec.replications)]
-
-
-def _replicate(graph: Graph, ranking: Ranking, strat: StrategySpec, n: int,
-               worlds: List[World],
-               t_sn: Optional[int] = None) -> Iterator[DiffusionTrace]:
-    for live in worlds:
-        yield run_on_world(graph, ranking, strat, n, live, t_sn)
 
 
 def run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
@@ -165,14 +158,14 @@ def run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
         scores = score_cache[key]
     ranking = rank(graph, method, rank_rng, scores=scores)
 
-    sn_traces = list(_replicate(graph, ranking, _SN, n, worlds))
+    sn_traces = list(run_on_worlds(graph, ranking, _SN, n, worlds))
     t_sn = max(1, _round_half_up(
         sum(t.duration for t in sn_traces) / len(sn_traces)))
     runs = [("SN", sn_traces)]
     for strat in spec.strategies:
         if strat.kind != "SN":  # the baseline block above
-            runs.append((strat.label, _replicate(graph, ranking, strat, n,
-                                                 worlds, t_sn)))
+            runs.append((strat.label, run_on_worlds(graph, ranking, strat, n,
+                                                    worlds, t_sn)))
     return ConfigRuns(n, t_sn, runs)
 
 

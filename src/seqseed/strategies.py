@@ -2,20 +2,21 @@
 
 All strategies spend at most n seeds, always on the highest-ranked nodes that
 are still inactive at the moment of injection. Budget that cannot be placed
-because every node is already active is forfeited and reported on the trace.
-A run is a traversal of one live-edge world (`run_on_world`); on the same
-world every sequential kind ends with an active set containing SN's, since
-each of SN's top-n nodes is seeded by it or active when its cursor passes.
+because every node is already active is forfeited and reported on the run's
+state. A run is a traversal of one live-edge world; `run_on_worlds` checks
+the budget and plans the stages once, then runs them on each world of a
+list. On the same world every sequential kind ends with an active set
+containing SN's, since each of SN's top-n nodes is seeded by it or active
+when its cursor passes.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
-from .diffusion import (UNTIL_STOP, DiffusionState, DiffusionTrace, World,
-                        advance, sample_world)
+from .diffusion import UNTIL_STOP, DiffusionState, World, advance, sample_world
 from .graphs import Graph, ParameterError
 from .ranking import Ranking
 
@@ -31,6 +32,9 @@ class StrategySpec:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ParameterError(f"unknown strategy kind: {self.kind!r}")
+        for name, value in (("k", self.k), ("t_sn", self.t_sn)):
+            if value is not None and type(value) is not int:
+                raise ParameterError(f"{name} must be an int, got {value!r}")
         if self.kind.startswith("SQ_kPS"):
             if self.k is None or self.k < 1:
                 raise ParameterError(f"{self.kind} requires k >= 1")
@@ -76,12 +80,6 @@ def _check_budget(graph: Graph, n: int) -> None:
         raise ParameterError(f"need 1 <= n <= {graph.node_count}, got {n}")
 
 
-def _stage_sizes(n: int, stages: int) -> List[int]:
-    # remainder seeds go to the earliest stages
-    base, rem = divmod(n, stages)
-    return [base + 1] * rem + [base] * (stages - rem)
-
-
 def _plan(spec: StrategySpec, n: int, t_sn: Optional[int]) -> List[int]:
     """Seeds per stage: the whole budget cut the way the spec's kind cuts it."""
     if spec.kind == "SN":
@@ -96,8 +94,11 @@ def _plan(spec: StrategySpec, n: int, t_sn: Optional[int]) -> List[int]:
         raise ParameterError(f"{spec.kind} needs a reference t_sn")
     if ref < 1:
         raise ParameterError("t_sn must be >= 1")
-    # fewer seeds than stages: one seed per stage, as SQ_1PS
-    return _stage_sizes(n, ref) if n >= ref else [1] * n
+    # fewer seeds than stages: one seed per stage, as SQ_1PS; remainder
+    # seeds go to the earliest stages
+    stages = min(n, ref)
+    base, rem = divmod(n, stages)
+    return [base + 1] * rem + [base] * (stages - rem)
 
 
 def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
@@ -150,26 +151,33 @@ def _run_buffered(ranking: Ranking, state: DiffusionState, sizes: List[int],
     return spent + _run_stages(ranking, state, [n - spent], True, live)
 
 
-def run_on_world(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
-                 live: World, t_sn: Optional[int] = None) -> DiffusionTrace:
-    """Run a StrategySpec on one live-edge world of `graph`; TSN variants
-    take t_sn from the spec or the arg.
+def run_on_worlds(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
+                  worlds: Iterable[World],
+                  t_sn: Optional[int] = None) -> Iterator[DiffusionState]:
+    """Run a StrategySpec on each live-edge world of `graph` in `worlds`,
+    yielding one final state per world as it is asked for; TSN variants take
+    t_sn from the spec or the arg. The budget is checked and the stages are
+    planned once, when the first state is asked for.
 
     Every kind is a list of stage sizes plus a wait mode: one diffusion step
     per stage, or (`_R`) until diffusion stops. `_B` adds buffering.
     """
     _check_budget(graph, n)
     sizes = _plan(spec, n, t_sn)
-    state = DiffusionState(graph)
-    if spec.kind == "SQ_kPS_B":
-        spent = _run_buffered(ranking, state, sizes, n, live)
-    else:
-        spent = _run_stages(ranking, state, sizes, spec.kind.endswith("_R"), live)
-    state.forfeited = n - spent
-    return state.trace()
+    buffered = spec.kind == "SQ_kPS_B"
+    until_stop = spec.kind.endswith("_R")
+    for live in worlds:
+        state = DiffusionState(graph)
+        if buffered:
+            spent = _run_buffered(ranking, state, sizes, n, live)
+        else:
+            spent = _run_stages(ranking, state, sizes, until_stop, live)
+        state.forfeited = n - spent
+        yield state
 
 
 def run_strategy(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
-                 pp: float, rng, t_sn: Optional[int] = None) -> DiffusionTrace:
-    """`run_on_world` on a world sampled from `rng`."""
-    return run_on_world(graph, ranking, spec, n, sample_world(graph, pp, rng), t_sn)
+                 pp: float, rng, t_sn: Optional[int] = None) -> DiffusionState:
+    """`run_on_worlds` on one world sampled from `rng`."""
+    return next(run_on_worlds(graph, ranking, spec, n,
+                              [sample_world(graph, pp, rng)], t_sn))

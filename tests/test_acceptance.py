@@ -21,10 +21,11 @@ from seqseed.graphs import components, generate_ba, generate_er, load_edge_list
 from seqseed.ranking import (RankingMethod, eigenvector_scores, pagerank_scores,
                              rank)
 from seqseed.stats import hodges_lehmann, wilcoxon_signed_rank
-from seqseed.strategies import StrategySpec, run_on_world, run_strategy
+from seqseed.strategies import StrategySpec, run_strategy
 
 from test_ranking import dense_eigenvector, dense_pagerank
 from test_stats import wilcoxon_brute_force
+from test_strategies import run_on
 
 
 _CAPSYS = None
@@ -72,7 +73,7 @@ def test_criterion_1_oracle_equivalence():
             st = DiffusionState(g)
             activate_seeds(st, seeds)
             run_until_stop(st, g, pp, run_rng)
-            c = st.active_count
+            c = st.coverage
             total += c
             total_sq += c * c
         mean = total / trials
@@ -166,11 +167,11 @@ def test_criterion_4_theorem_instance():
 
     def expectations(g, r, pp):
         e_sn = exact_process_expectation(
-            lambda live: run_on_world(g, r, StrategySpec("SN"),
-                                      2, live).coverage, g, pp)
+            lambda live: run_on(g, r, StrategySpec("SN"),
+                                2, live).coverage, g, pp)
         e_seq = exact_process_expectation(
-            lambda live: run_on_world(g, r, StrategySpec("SQ_kPS_R", k=1),
-                                      2, live).coverage, g, pp)
+            lambda live: run_on(g, r, StrategySpec("SQ_kPS_R", k=1),
+                                2, live).coverage, g, pp)
         return e_seq, e_sn
 
     for pp in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):

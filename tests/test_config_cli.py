@@ -54,6 +54,26 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=r"strategies\[1\]"):
             load_grid_config(bad)
 
+    @pytest.mark.parametrize("field, value, where", [
+        ("pp", [True], r"config\.pp\[0\]: wrong type bool"),
+        ("pp", [0.1, "0.1"], r"config\.pp\[1\]: wrong type str"),
+        ("pp", [None], r"config\.pp\[0\]: wrong type NoneType"),
+        ("sp", [[0.1]], r"config\.sp\[0\]: wrong type list"),
+        ("rankings", [5], r"config\.rankings\[0\]: wrong type int"),
+        ("strategies", ["SN", {"kind": "SQ_kPS", "k": "2"}],
+         r"strategies\[1\]\.k: wrong type str"),
+        ("strategies", ["SN", {"kind": "SQ_kPS", "k": True}],
+         r"strategies\[1\]\.k: wrong type bool"),
+        ("strategies", ["SN", {"kind": "SQ_kPS", "k": 2.0}],
+         r"strategies\[1\]\.k: wrong type float"),
+        ("strategies", [{"kind": "SQ_TSN", "t_sn": True}],
+         r"strategies\[0\]\.t_sn: wrong type bool"),
+    ], ids=["pp-bool", "pp-str", "pp-null", "sp-list", "ranking-int",
+            "k-str", "k-bool", "k-float", "t_sn-bool"])
+    def test_wrong_entry_type_named(self, field, value, where):
+        with pytest.raises(ConfigError, match=where):
+            load_grid_config(dict(GRID_CONFIG, **{field: value}))
+
     def test_unknown_ranking(self):
         bad = dict(GRID_CONFIG, rankings=["closeness"])
         with pytest.raises(ConfigError, match="rankings"):
@@ -275,17 +295,27 @@ class TestGridAndSummarize:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_config_exits_nonzero(self, tmp_path, capsys, monkeypatch,
                                           jobs):
-        def run_on_world(*args, **kwargs):
+        def run_on_worlds(*args, **kwargs):
             raise RuntimeError("injected failure")
 
         # pool workers are forked, so they inherit the patch
-        monkeypatch.setattr(experiment, "run_on_world", run_on_world)
+        monkeypatch.setattr(experiment, "run_on_worlds", run_on_worlds)
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(GRID_CONFIG))
         code, _, err = run_cli(["grid", "--config", str(cfg), "--jobs", jobs,
                                 "--out-dir", str(tmp_path / "out")], capsys)
         assert code == 1
         assert "config ba|pp=0.1|sp=0.05|degree failed: injected failure" in err
+        assert not (tmp_path / "out" / "records.csv").exists()
+
+    def test_wrong_entry_type_exits_nonzero(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(dict(
+            GRID_CONFIG, strategies=["SN", {"kind": "SQ_kPS", "k": True}])))
+        code, _, err = run_cli(["grid", "--config", str(cfg),
+                                "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert err == "error: strategies[1].k: wrong type bool\n"
         assert not (tmp_path / "out" / "records.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])

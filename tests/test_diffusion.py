@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from seqseed.diffusion import (DiffusionState, activate_seeds,
-                               expected_coverage_exact, ic_step,
-                               run_until_stop, sample_world)
+from seqseed.diffusion import (DiffusionState, activate_seeds, advance,
+                               expected_coverage_exact, run_until_stop,
+                               sample_world)
 from seqseed.graphs import (ParameterError, components, generate_ba,
                             generate_er, load_edge_list)
 
@@ -16,13 +16,13 @@ class TestActivateSeeds:
         g = generate_er(30, 0.1, random.Random(1))
         st = DiffusionState(g)
         activate_seeds(st, list(range(6)))
-        assert st.active_count == 6
+        assert st.coverage == 6
         assert len(st.frontier) == 6
 
     def test_inject_nothing_is_noop(self, path3):
         st = DiffusionState(path3)
         activate_seeds(st, [])
-        assert st.active_count == 0
+        assert st.coverage == 0
         assert st.cumulative == [] and st.injected == [] and st.seeds == []
 
     def test_already_active_seed_rejected(self, path3):
@@ -39,7 +39,7 @@ class TestActivateSeeds:
         with pytest.raises(ValueError, match="repeat a node"):
             activate_seeds(st, [0, 0])
         assert st.flags == bytearray([0, 1, 0])
-        assert st.active_count == 1 and st.frontier == [1]
+        assert st.coverage == 1 and st.frontier == [1]
         assert st.seeds == [1] and st.cumulative == [1]
 
     def test_injections_at_one_step_share_its_entry(self, path3):
@@ -93,14 +93,15 @@ class TestIcStep:
     def test_pp_zero_stops(self, star5):
         st = DiffusionState(star5)
         activate_seeds(st, [0])
-        assert ic_step(st, sample_world(star5, 0.0, random.Random(0))) == []
+        advance(st, sample_world(star5, 0.0, random.Random(0)), 1)
         assert st.frontier == []
 
     def test_pp_one_activates_all_neighbors(self, star5):
         st = DiffusionState(star5)
         activate_seeds(st, [0])
         live = sample_world(star5, 1.0, random.Random(0))
-        assert ic_step(st, live) == [1, 2, 3, 4]
+        advance(st, live, 1)
+        assert st.frontier == [1, 2, 3, 4]
 
     def test_star_binomial_mean(self, star5):
         # 4 leaves at pp=0.5: newly activated ~ Binomial(4, 0.5)
@@ -110,12 +111,14 @@ class TestIcStep:
         for _ in range(trials):
             st = DiffusionState(star5)
             activate_seeds(st, [0])
-            total += len(ic_step(st, sample_world(star5, 0.5, rng)))
+            advance(st, sample_world(star5, 0.5, rng), 1)
+            total += len(st.frontier)
         assert total / trials == pytest.approx(2.0, abs=0.05)
 
     def test_empty_frontier_takes_no_step(self, path3):
         st = DiffusionState(path3)
-        assert ic_step(st, [[1], [0, 2], [1]]) == []
+        advance(st, [[1], [0, 2], [1]], 1)
+        assert st.frontier == []
         assert st.step == 0 and st.cumulative == []
 
 
@@ -126,15 +129,15 @@ class TestRunUntilStop:
         activate_seeds(st, [0])
         run_until_stop(st, g, 1.0, random.Random(0))
         comp = next(c for c in components(g) if 0 in c)
-        assert st.active_count == len(comp)
-        assert st.last_activity == eccentricity(g, 0, comp)
+        assert st.coverage == len(comp)
+        assert st.duration == eccentricity(g, 0, comp)
 
     def test_pp_zero(self, path3):
         st = DiffusionState(path3)
         activate_seeds(st, [0, 2])
         run_until_stop(st, path3, 0.0, random.Random(0))
-        assert st.active_count == 2
-        assert st.last_activity == 0
+        assert st.coverage == 2
+        assert st.duration == 0
 
     def test_path_expected_coverage_monte_carlo(self, path3):
         # seed {0}: 1 + 1/2 + 1/4 = 1.75 expected
@@ -145,7 +148,7 @@ class TestRunUntilStop:
             st = DiffusionState(path3)
             activate_seeds(st, [0])
             run_until_stop(st, path3, 0.5, rng)
-            total += st.active_count
+            total += st.coverage
         mean = total / trials
         se = math.sqrt(0.6875 / trials)  # Var = E[C^2]-E[C]^2 = 0.6875
         assert abs(mean - 1.75) < 3 * se
@@ -164,18 +167,23 @@ class TestRunUntilStop:
         run_until_stop(st, g, 0.4, random.Random(5))
         cums = st.cumulative
         assert cums == sorted(cums)
-        assert len(cums) == st.step + 1 and cums[-1] == st.active_count
+        assert len(cums) == st.step + 1 and cums[-1] == st.coverage
         assert st.injected == [4] + [0] * st.step
 
     def test_determinism(self):
         g = generate_er(60, 0.06, random.Random(2))
-        traces = []
+        runs = []
         for _ in range(2):
             st = DiffusionState(g)
             activate_seeds(st, [3, 7, 11])
             run_until_stop(st, g, 0.3, random.Random(777))
-            traces.append(st.trace())
-        assert traces[0] == traces[1]
+            runs.append(st)
+        a, b = runs
+        assert (a.cumulative, a.injected, a.seeds, a.flags, a.coverage,
+                a.duration) == (b.cumulative, b.injected, b.seeds, b.flags,
+                                b.coverage, b.duration)
+        assert a == b  # equality compares every field
+        assert a.coverage > 3  # the run spread past its seeds
 
 
 def eccentricity(g, source, comp):
@@ -221,7 +229,7 @@ class TestExactOracle:
             st = DiffusionState(g)
             activate_seeds(st, [0, 1])
             run_until_stop(st, g, 0.4, rng)
-            vals.append(st.active_count)
+            vals.append(st.coverage)
         mean = sum(vals) / trials
         var = sum((v - mean) ** 2 for v in vals) / (trials - 1)
         assert abs(mean - exact) < 3 * math.sqrt(var / trials) + 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import multiprocessing
@@ -6,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from seqseed import experiment
+from seqseed import experiment, strategies as strategy_module
 from seqseed.experiment import (GridError, GridSpec, RunRecord, config_id,
                                 derive_rng, read_records_csv, run_config,
                                 run_grid, summarize, write_records_csv,
@@ -141,6 +142,25 @@ class TestRunGridJobs:
         worlds = len(spec.graphs) * len(spec.pp_values) * spec.replications
         assert len(calls) == len(spec.configs()) + worlds
         assert len(set(calls)) == len(calls)
+
+    def test_one_plan_per_config_and_strategy(self, monkeypatch):
+        """Each (config, strategy) checks its budget and plans its stages
+        once for all its worlds, whatever the replication count."""
+        calls = []
+        real = strategy_module._plan
+
+        def plan(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(strategy_module, "_plan", plan)
+        spec = pinned_grid()
+        non_sn = sum(1 for s in spec.strategies if s.kind != "SN")
+        for replications in (1, spec.replications):
+            calls.clear()
+            run_grid(dataclasses.replace(spec, replications=replications),
+                     jobs=1)
+            assert len(calls) == len(spec.configs()) * (1 + non_sn)
 
 
 class TestGridIdentity:

@@ -9,13 +9,19 @@ from seqseed.diffusion import sample_world
 from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
                             load_edge_list)
 from seqseed.ranking import Ranking, RankingMethod, rank
-from seqseed.strategies import StrategySpec, run_on_world, run_strategy, seed_count
+from seqseed.strategies import StrategySpec, run_on_worlds, run_strategy, seed_count
 
 from conftest import exact_process_expectation
 
 
 def degree_ranking(g, seed=0):
     return rank(g, RankingMethod.DEGREE, random.Random(seed))
+
+
+def run_on(g, r, spec, n, live, t_sn=None):
+    """The one state that `run_on_worlds` yields for the single world `live`."""
+    (state,) = run_on_worlds(g, r, spec, n, [live], t_sn)
+    return state
 
 
 def fixed_ranking(g, order):
@@ -51,6 +57,16 @@ class TestStrategySpec:
     def test_kps_requires_k(self):
         with pytest.raises(ParameterError):
             StrategySpec.parse("SQ_kPS")
+
+    @pytest.mark.parametrize("kind, params", [
+        ("SQ_kPS", {"k": "2"}), ("SQ_kPS", {"k": True}), ("SQ_kPS", {"k": 2.0}),
+        ("SQ_TSN", {"t_sn": False}), ("SQ_TSN_R", {"t_sn": "3"}),
+    ], ids=["k-str", "k-bool", "k-float", "t_sn-bool", "t_sn-str"])
+    def test_non_int_parameter_rejected(self, kind, params):
+        (name, value), = params.items()
+        with pytest.raises(ParameterError,
+                           match=f"{name} must be an int, got {value!r}"):
+            StrategySpec(kind, **params)
 
     def test_sn_takes_no_params(self):
         with pytest.raises(ParameterError):
@@ -158,7 +174,7 @@ class TestRunSqKpsB:
             [],   # 2 -> 3 fails after injecting node 2
             [],
         ]
-        t = run_on_world(g, r, StrategySpec("SQ_kPS_B", k=1), 3, live)
+        t = run_on(g, r, StrategySpec("SQ_kPS_B", k=1), 3, live)
         # banked unit is spent on node 3, the best inactive node, after stop
         assert t.coverage == 4
         assert t.seeds == [0, 2, 3]
@@ -266,7 +282,7 @@ class TestBudgetSafetyAcrossStrategies:
         g = generate_er(40, 0.1, random.Random(8))
         r = degree_ranking(g)
         live = sample_world(g, 0.5, random.Random(4))
-        t = run_on_world(g, r, StrategySpec("SQ_kPS_R", k=1), 6, live)
+        t = run_on(g, r, StrategySpec("SQ_kPS_R", k=1), 6, live)
         pos = {v: i for i, v in enumerate(r.order)}
         for i, s in enumerate(t.seeds):
             active = closure(live, t.seeds[:i])
@@ -353,7 +369,7 @@ class TestSharedWorlds:
     def test_every_kind_contains_sn(self, case):
         g, live, r, n, k, t_sn = case
         kinds = all_kinds(k, t_sn)
-        sn, *sequential = [active_set(run_on_world(g, r, spec, n, live, t_sn))
+        sn, *sequential = [active_set(run_on(g, r, spec, n, live, t_sn))
                            for spec in kinds]
         for spec, active in zip(kinds[1:], sequential):
             assert sn <= active, spec.label
@@ -363,7 +379,7 @@ class TestSharedWorlds:
     def test_trace_arrays_consistent(self, case):
         g, live, r, n, k, t_sn = case
         for spec in all_kinds(k, t_sn):
-            t = run_on_world(g, r, spec, n, live, t_sn)
+            t = run_on(g, r, spec, n, live, t_sn)
             cum = t.cumulative
             # one entry per step 0..last; the last step activates nothing,
             # so it is the step after the last activity
@@ -400,13 +416,13 @@ class TestSharedWorlds:
         for coins in itertools.product((False, True), repeat=arcs):
             live = world_from_coins(g, coins)
             weight = pp ** sum(coins) * (1 - pp) ** (arcs - sum(coins))
-            traces = [run_on_world(g, r, spec, n, live, 2) for spec in kinds]
+            traces = [run_on(g, r, spec, n, live, 2) for spec in kinds]
             sn = active_set(traces[0])
             for i, t in enumerate(traces):
                 assert sn <= active_set(t), kinds[i].label
                 means[i] += weight * t.coverage
         for spec, mean in zip(kinds, means):
             oracle = exact_process_expectation(
-                lambda w, spec=spec: run_on_world(g, r, spec, n, w, 2).coverage,
+                lambda w, spec=spec: run_on(g, r, spec, n, w, 2).coverage,
                 g, pp)
             assert mean == oracle, spec.label
