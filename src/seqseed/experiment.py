@@ -5,9 +5,10 @@ world, sampled from the rng stream derived from (master seed, graph name,
 pp, "world", r). Every sp, ranking and strategy, the SN baseline included,
 is thus paired on common random numbers, and results are independent of
 execution order and bit-reproducible. Each configuration's ranking draws
-from its own stream (master seed, config id, "ranking"). The SN baseline
-block runs first per configuration; its rounded mean duration parameterizes
-the TSN strategies.
+from its own stream (master seed, config id, "ranking"): a random ranking
+its whole order, any other its tie-breaks, and nothing when no scores tie.
+The SN baseline block runs first per configuration; its rounded mean
+duration parameterizes the TSN strategies.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .diffusion import DiffusionState, World, sample_world
 from .graphs import Graph, ParameterError
-from .ranking import RankingMethod, method_scores, rank
+from .ranking import RankingMethod, rank, score_order
 from .stats import hodges_lehmann, wilcoxon_signed_rank
 from .strategies import StrategySpec, run_on_worlds, seed_count
 
@@ -151,10 +152,11 @@ def run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
     rank_rng = derive_rng(spec.master_seed, cid, "ranking")
     scores = None
     if score_cache is not None and method is not RankingMethod.RANDOM:
-        # scores are rng-free for non-random methods; reuse across configs
+        # a non-random method's score order is rng-free: build it once per
+        # (graph, method) and reuse it across configs
         key = (graph_name, method)
         if key not in score_cache:
-            score_cache[key] = method_scores(graph, method)
+            score_cache[key] = score_order(graph, method)
         scores = score_cache[key]
     ranking = rank(graph, method, rank_rng, scores=scores)
 
@@ -173,8 +175,8 @@ class GridError(RuntimeError):
     """A configuration failed while the grid ran; the message names its id."""
 
 
-# One process's grid state: the spec, its graphs by name, a score cache
-# shared by the configs that process runs, and the worlds of the (graph, pp)
+# One process's grid state: the spec, its graphs by name, the score order of
+# each (graph, method) its configs rank by, and the worlds of the (graph, pp)
 # it last ran. Configs come in (graph, pp)-major order, so keeping one key's
 # worlds samples each world once per process at a bounded memory cost. Set
 # by _start_worker, in each pool worker or, at jobs=1, in this process until
@@ -200,10 +202,11 @@ def _config_records(config) -> List[RunRecord]:
                          _grid["worlds"])
         sn_traces = out.runs[0][1]
         mean_c_sn = sum(t.coverage for t in sn_traces) / len(sn_traces)
-        return [RunRecord(cid, name, pp, sp, method.value, label,
+        ranking, t_sn = method.value, out.t_sn
+        return [RunRecord(cid, name, pp, sp, ranking, label,
                           r, trace.coverage, trace.duration,
                           trace.first_step_reaching(mean_c_sn),
-                          trace.cumulative_at(out.t_sn), trace.forfeited)
+                          trace.cumulative_at(t_sn), trace.forfeited)
                 for label, traces in out.runs
                 for r, trace in enumerate(traces)]
     except Exception as exc:

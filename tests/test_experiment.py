@@ -3,6 +3,7 @@ import hashlib
 import io
 import multiprocessing
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,6 +47,12 @@ class TestConfigTsn:
         # precomputed scores that rank the end node 0 first
         cache = {("g", RankingMethod.DEGREE): [5.0, 4.0, 3.0, 2.0, 1.0]}
         assert config_tsn(g, 1.0, 0.2, cache) == 4
+
+    def test_cached_scores_of_wrong_length_name_the_method(self):
+        g = load_edge_list("0 1\n1 2\n2 3\n3 4")
+        cache = {("g", RankingMethod.DEGREE): [5.0, 4.0, 3.0]}
+        with pytest.raises(ValueError, match="degree scores: 3 values for 5"):
+            config_tsn(g, 1.0, 0.2, cache)
 
 
 class TestRunGrid:
@@ -161,6 +168,24 @@ class TestRunGridJobs:
             run_grid(dataclasses.replace(spec, replications=replications),
                      jobs=1)
             assert len(calls) == len(spec.configs()) * (1 + non_sn)
+
+
+    def test_one_score_order_per_graph_and_method(self, monkeypatch):
+        """A grid process builds each (graph, method) score order once, for
+        every pp and sp it ranks at, and none for the random ranking."""
+        calls = Counter()
+        real = experiment.score_order
+
+        def score_order(graph, method, *args):
+            calls[graph, method] += 1
+            return real(graph, method, *args)
+
+        monkeypatch.setattr(experiment, "score_order", score_order)
+        spec = dataclasses.replace(pinned_grid(), rankings=[
+            RankingMethod.RANDOM, RankingMethod.DEGREE, RankingMethod.PAGERANK])
+        run_grid(spec, jobs=1)
+        assert calls == {(g, m): 1 for _, g in spec.graphs
+                         for m in (RankingMethod.DEGREE, RankingMethod.PAGERANK)}
 
 
 class TestGridIdentity:

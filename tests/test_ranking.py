@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import random
 
 import numpy as np
@@ -11,7 +12,8 @@ from seqseed import ranking
 from seqseed.graphs import generate_er, load_edge_list
 from seqseed.ranking import (PowerIterationResult, Ranking, RankingMethod,
                              eigenvector_scores, method_scores,
-                             pagerank_scores, rank, write_ranking_csv)
+                             pagerank_scores, rank, score_order, shuffle,
+                             write_ranking_csv)
 
 
 def cycle(n):
@@ -52,19 +54,26 @@ class TestRank:
             scores = [r.score[v] for v in r.order]
             assert all(a >= b for a, b in zip(scores, scores[1:]))
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40),
-           st.integers(0, 1000))
-    def test_order_is_score_then_shuffled_tiebreak(self, ints, seed):
-        # score descending, ties by a uniform shuffle drawn from the rng
-        g = generate_er(len(ints), 0.0, random.Random(0))
-        score = [float(x) for x in ints]
-        tiebreak = list(range(len(ints)))
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3).map(float) | st.floats(-1e3, 1e3)
+                    | st.just(-0.0), min_size=1, max_size=60),
+           st.integers(0, 10 ** 6))
+    def test_order_is_score_then_shuffled_tiebreak(self, score, seed):
+        # score descending, ties by a uniform shuffle drawn from the rng, the
+        # same from a plain score list and from its cached score order
+        g = generate_er(len(score), 0.0, random.Random(0))
+        tiebreak = list(range(len(score)))
         random.Random(seed).shuffle(tiebreak)
-        expected = sorted(range(len(ints)),
+        expected = sorted(range(len(score)),
                           key=lambda v: (-score[v], tiebreak[v]))
-        r = rank(g, RankingMethod.DEGREE, random.Random(seed), scores=score)
-        assert r.order == expected
+        cached = score_order(g, RankingMethod.DEGREE, score)
+        by_id = list(cached.order)
+        rngs = random.Random(seed), random.Random(seed)
+        a = rank(g, RankingMethod.DEGREE, rngs[0], scores=cached)
+        b = rank(g, RankingMethod.DEGREE, rngs[1], scores=score)
+        assert a.order == b.order == expected
+        assert rngs[0].getstate() == rngs[1].getstate()
+        assert cached.order == by_id  # ranking leaves the cached order as is
 
     def test_rerank_same_seed_identical(self):
         g = generate_er(30, 0.2, random.Random(4))
@@ -73,6 +82,46 @@ class TestRank:
             b = rank(g, method, random.Random(11))
             assert a.order == b.order
             assert a.score == b.score
+
+    def test_random_order_is_stdlib_shuffle(self):
+        g = generate_er(50, 0.1, random.Random(3))
+        for seed in range(20):
+            expected = list(range(50))
+            random.Random(seed).shuffle(expected)
+            r = rank(g, RankingMethod.RANDOM, random.Random(seed))
+            assert r.order == expected
+
+    def test_tie_free_scores_draw_nothing(self):
+        g = generate_er(30, 0.0, random.Random(0))
+        score = [float(v * 7 % 30) for v in range(30)]
+        rng = random.Random(5)
+        before = rng.getstate()
+        for scores in (score, score_order(g, RankingMethod.PAGERANK, score)):
+            r = rank(g, RankingMethod.PAGERANK, rng, scores=scores)
+            assert r.order == sorted(range(30), key=lambda v: -score[v])
+            assert rng.getstate() == before
+
+    @pytest.mark.parametrize("scores, match", [
+        ([1.0] * 4, "4 values for 5 nodes"),
+        ([1.0] * 6, "6 values for 5 nodes"),
+        ([1.0, 2.0, math.nan, 0.0, 3.0], "hold a NaN")])
+    def test_bad_scores_raise_naming_the_method(self, scores, match):
+        g = generate_er(5, 0.0, random.Random(0))
+        with pytest.raises(ValueError, match=f"degree2 scores.*{match}"):
+            rank(g, RankingMethod.DEGREE2, random.Random(0), scores=scores)
+
+
+def test_shuffle_matches_stdlib_shuffle():
+    """Same permutation and same rng state as random.Random.shuffle, over
+    every bit-length boundary up to 64 and one larger list."""
+    for n in list(range(71)) + [1000]:
+        for seed in range(40 if n <= 70 else 3):
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            x, y = list(range(n)), list(range(n))
+            shuffle(x, ours)
+            stdlib.shuffle(y)
+            assert x == y, (n, seed)
+            assert ours.getstate() == stdlib.getstate(), (n, seed)
 
 
 class TestRankingCsv:
