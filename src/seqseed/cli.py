@@ -13,7 +13,7 @@ import sys
 
 from .config import ConfigError, load_grid_config_file
 from .diffusion import DiffusionState
-from .experiment import (GridError, GridSpec, read_records_csv, run_config,
+from .experiment import (GridError, GridSpec, read_records_csv, run_block,
                          run_grid, summarize, write_records_csv,
                          write_scatter_csv, write_summary_csv)
 from .graphs import (GraphParseError, ParameterError, generate_ba, generate_er,
@@ -76,19 +76,21 @@ def _trace_csv(trace: DiffusionState, out) -> None:
 
 
 def cmd_simulate(args) -> int:
-    """Run one configuration as a one-config grid, so its runs are the grid's
-    records for the graph named after the file's stem."""
+    """Run one configuration as a one-config grid block, so its runs are the
+    grid's records for the graph named after the file's stem."""
     g = _load_graph(args.graph)
     spec = StrategySpec.parse(args.strategy, k=args.k, t_sn=args.t_sn)
     method = RankingMethod.from_string(args.ranking)
     name = os.path.splitext(os.path.basename(args.graph))[0]
     grid = GridSpec([(name, g)], [args.pp], [args.sp], [method], [spec],
                     args.runs, _seed_from(args))
-    out = run_config(grid, name, g, args.pp, args.sp, method)
+    traces = []
+    for cfg, label, _, state in run_block(grid, name, g, args.pp, {}):
+        if label == spec.label:
+            traces.append(state)
     if spec.kind.startswith("SQ_TSN") and spec.t_sn is None:
-        print(f"derived t_sn = {out.t_sn} from {args.runs} SN reference runs")
+        print(f"derived t_sn = {cfg.t_sn} from {args.runs} SN reference runs")
 
-    traces = list(out.runs[-1][1])
     os.makedirs(args.out_dir, exist_ok=True)
     for run_id, trace in enumerate(traces):
         with open(os.path.join(args.out_dir, f"trace_{run_id:04d}.csv"),
@@ -103,7 +105,7 @@ def cmd_simulate(args) -> int:
             fh.write(f"{step},{mean:.6g}\n")
     mean_c = sum(t.coverage for t in traces) / len(traces)
     mean_t = sum(t.duration for t in traces) / len(traces)
-    print(f"{spec.label} on {args.graph}: n={out.n}, pp={args.pp:g}, "
+    print(f"{spec.label} on {args.graph}: n={cfg.n}, pp={args.pp:g}, "
           f"runs={args.runs}")
     print(f"mean coverage {mean_c:.6g}, mean duration {mean_t:.6g}")
     return 0

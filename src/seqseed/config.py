@@ -28,7 +28,7 @@ import os
 import random
 from typing import List, Tuple
 
-from .experiment import GridSpec, derive_rng
+from .experiment import GridSpec
 from .graphs import Graph, ParameterError, generate_ba, generate_er, load_edge_list
 from .ranking import RankingMethod
 from .strategies import StrategySpec

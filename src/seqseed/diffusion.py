@@ -57,6 +57,21 @@ class DiffusionState:
         self.seeds = []
         self.forfeited = 0
 
+    def copy(self) -> "DiffusionState":
+        """A state that goes on apart from this one. It shares the frontier
+        list, which `advance` replaces but never changes."""
+        other = DiffusionState.__new__(DiffusionState)
+        other.flags = self.flags[:]
+        other.coverage = self.coverage
+        other.frontier = self.frontier
+        other.step = self.step
+        other.duration = self.duration
+        other.cumulative = self.cumulative[:]
+        other.injected = self.injected[:]
+        other.seeds = self.seeds[:]
+        other.forfeited = self.forfeited
+        return other
+
     @property
     def last_activity(self) -> int:
         """`duration` under its former name, for callers not yet moved."""

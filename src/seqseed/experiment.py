@@ -4,11 +4,17 @@ Run r of every configuration of one (graph, pp) traverses the same live-edge
 world, sampled from the rng stream derived from (master seed, graph name,
 pp, "world", r). Every sp, ranking and strategy, the SN baseline included,
 is thus paired on common random numbers, and results are independent of
-execution order and bit-reproducible. Each configuration's ranking draws
-from its own stream (master seed, config id, "ranking"): a random ranking
-its whole order, any other its tie-breaks, and nothing when no scores tie.
-The SN baseline block runs first per configuration; its rounded mean
-duration parameterizes the TSN strategies.
+execution order and bit-reproducible. Each (graph, method) has one ranking,
+drawn from the stream (master seed, graph name, method, "ranking"): a
+random ranking its whole order, so one order per graph, any other its
+tie-breaks, and nothing when no scores tie. Every sp and pp seeds from it,
+so each budget's seeds are a prefix of one order.
+
+The unit of work is a (graph, pp) block: every sp x ranking configuration
+that shares its worlds. Per configuration the SN block runs first; its
+rounded mean duration parameterizes the TSN strategies. SQ_kPS and
+SQ_kPS_R run once per (ranking, world) at the block's largest budget, and
+each smaller budget's run is finished from a checkpoint of that run.
 """
 from __future__ import annotations
 
@@ -19,11 +25,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from itertools import product
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .diffusion import DiffusionState, World, sample_world
 from .graphs import Graph, ParameterError
-from .ranking import RankingMethod, rank, score_order
+from .ranking import Ranking, RankingMethod, rank, score_order
 from .stats import hodges_lehmann, wilcoxon_signed_rank
 from .strategies import StrategySpec, run_on_worlds, seed_count
 
@@ -118,19 +125,6 @@ def _round_half_up(x: float) -> int:
 _SN = StrategySpec("SN")  # built once for every SN block
 
 
-@dataclass
-class ConfigRuns:
-    """One configuration's runs per strategy label, the SN block first.
-
-    `t_sn` is the SN block's rounded mean duration, clamped to >= 1. The SN
-    traces are a list; every other strategy's traces are computed as they
-    are iterated, once, so a caller can drop each trace when done with it.
-    """
-    n: int
-    t_sn: int
-    runs: List[Tuple[str, Iterable[DiffusionState]]]
-
-
 def sample_worlds(spec: GridSpec, graph_name: str, graph: Graph,
                   pp: float) -> List[World]:
     """The live-edge worlds of runs 0..replications-1 at (graph, pp)."""
@@ -139,98 +133,148 @@ def sample_worlds(spec: GridSpec, graph_name: str, graph: Graph,
             for r in range(spec.replications)]
 
 
-def run_config(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
-               sp: float, method: RankingMethod,
-               score_cache: Optional[Dict] = None,
-               worlds: Optional[List[World]] = None) -> ConfigRuns:
-    """Rank, run the SN block, derive t_sn from it, then run the strategies,
-    all on `worlds` (sampled here when not given)."""
-    cid = config_id(graph_name, pp, sp, method)
-    if worlds is None:
-        worlds = sample_worlds(spec, graph_name, graph, pp)
-    n = seed_count(graph, sp)
-    rank_rng = derive_rng(spec.master_seed, cid, "ranking")
-    scores = None
-    if score_cache is not None and method is not RankingMethod.RANDOM:
-        # a non-random method's score order is rng-free: build it once per
-        # (graph, method) and reuse it across configs
-        key = (graph_name, method)
-        if key not in score_cache:
-            score_cache[key] = score_order(graph, method)
-        scores = score_cache[key]
-    ranking = rank(graph, method, rank_rng, scores=scores)
-
-    sn_traces = list(run_on_worlds(graph, ranking, _SN, n, worlds))
-    t_sn = max(1, _round_half_up(
-        sum(t.duration for t in sn_traces) / len(sn_traces)))
-    runs = [("SN", sn_traces)]
-    for strat in spec.strategies:
-        if strat.kind != "SN":  # the baseline block above
-            runs.append((strat.label, run_on_worlds(graph, ranking, strat, n,
-                                                    worlds, t_sn)))
-    return ConfigRuns(n, t_sn, runs)
+def _grid_ranking(spec: GridSpec, graph_name: str, graph: Graph,
+                 method: RankingMethod) -> Ranking:
+    """The grid's one ranking of `graph` by `method`, which every sp and pp
+    seeds from, so each budget's seeds are a prefix of one order. Its ties,
+    or for RANDOM its whole order, come from the stream (master seed, graph
+    name, method, "ranking")."""
+    rng = derive_rng(spec.master_seed, graph_name, method.value, "ranking")
+    return rank(graph, method, rng, scores=None if method is RankingMethod.RANDOM
+                else score_order(graph, method))
 
 
 class GridError(RuntimeError):
     """A configuration failed while the grid ran; the message names its id."""
 
 
-# One process's grid state: the spec, its graphs by name, the score order of
-# each (graph, method) its configs rank by, and the worlds of the (graph, pp)
-# it last ran. Configs come in (graph, pp)-major order, so keeping one key's
-# worlds samples each world once per process at a bounded memory cost. Set
-# by _start_worker, in each pool worker or, at jobs=1, in this process until
-# the grid ends.
+@dataclass
+class BlockConfig:
+    """One configuration of a (graph, pp) block: its id, sp, ranking and
+    seed budget n, and what its SN block fixes for the other strategies,
+    the SN mean coverage and `t_sn`, the SN rounded mean duration clamped
+    to >= 1."""
+    cid: str
+    sp: float
+    method: RankingMethod
+    n: int
+    mean_c_sn: float = 0.0
+    t_sn: int = 0
+
+
+def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
+              rankings: Dict[Tuple[str, RankingMethod], Ranking]
+              ) -> Iterator[Tuple[BlockConfig, str, int, DiffusionState]]:
+    """Run every configuration of the (graph, pp) block on its worlds,
+    yielding `(config, strategy label, run id, final state)` as each run
+    ends. A state may go on once the next is asked for: read it first.
+
+    Per ranking (taken from `rankings`, keyed by (graph name, method), or
+    made by `_grid_ranking` and added to it): each config's SN block runs
+    first and fixes its t_sn and mean coverage; the other strategies follow
+    in spec order. SQ_kPS and SQ_kPS_R run once per world for all the
+    ranking's configs, at the largest budget, with each config's budget a
+    checkpoint of that run; the other kinds run per config. A failure
+    raises GridError naming the config whose work raised or, for work that
+    configs share (worlds, a ranking, a checkpointed run), the first config
+    that shares it.
+    """
+    where = config_id(graph_name, pp, spec.sp_values[0], spec.rankings[0])
+    try:
+        worlds = sample_worlds(spec, graph_name, graph, pp)
+        for method in spec.rankings:
+            configs = [BlockConfig(config_id(graph_name, pp, sp, method), sp,
+                                   method, seed_count(graph, sp))
+                       for sp in spec.sp_values]
+            where = configs[0].cid
+            key = (graph_name, method)
+            if key not in rankings:
+                rankings[key] = _grid_ranking(spec, graph_name, graph, method)
+            ranking = rankings[key]
+            for cfg in configs:
+                where = cfg.cid
+                sn = [state for _, state in run_on_worlds(
+                    graph, ranking, _SN, [cfg.n], worlds)]
+                cfg.mean_c_sn = sum(t.coverage for t in sn) / len(sn)
+                cfg.t_sn = max(1, _round_half_up(
+                    sum(t.duration for t in sn) / len(sn)))
+                for r, state in enumerate(sn):
+                    yield cfg, "SN", r, state
+            for strat in spec.strategies:
+                if strat.kind == "SN":  # the baseline blocks above
+                    continue
+                label = strat.label  # built once: each record keeps it
+                for group in ([configs] if strat.shares_budgets
+                              else [[cfg] for cfg in configs]):
+                    where = group[0].cid
+                    by_budget: Dict[int, List[BlockConfig]] = {}
+                    for cfg in group:
+                        by_budget.setdefault(cfg.n, []).append(cfg)
+                    runs = run_on_worlds(graph, ranking, strat, list(by_budget),
+                                         worlds, group[0].t_sn)
+                    for i, (n, state) in enumerate(runs):
+                        for cfg in by_budget[n]:
+                            yield cfg, label, i // len(by_budget), state
+    except Exception as exc:
+        raise GridError(f"config {where} failed: {exc}") from exc
+
+
+# One process's grid state: the spec, its graphs by name, and the ranking of
+# each (graph, method) its blocks have run, which the graph's other blocks
+# reuse. Set by _start_worker, in each pool worker or, at jobs=1, in this
+# process until the grid ends.
 _grid: Dict = {}
 
 
 def _start_worker(spec: GridSpec) -> None:
-    _grid.update(spec=spec, graphs=dict(spec.graphs), scores={},
-                 world_key=None, worlds=None)
+    _grid.update(spec=spec, graphs=dict(spec.graphs), rankings={})
 
 
-def _config_records(config) -> List[RunRecord]:
-    name, pp, sp, method = config
-    cid = config_id(name, pp, sp, method)
-    try:
-        spec, graph = _grid["spec"], _grid["graphs"][name]
-        if _grid["world_key"] != (name, pp):
-            _grid["worlds"] = None  # free the old worlds before sampling
-            _grid["worlds"] = sample_worlds(spec, name, graph, pp)
-            _grid["world_key"] = (name, pp)
-        out = run_config(spec, name, graph, pp, sp, method, _grid["scores"],
-                         _grid["worlds"])
-        sn_traces = out.runs[0][1]
-        mean_c_sn = sum(t.coverage for t in sn_traces) / len(sn_traces)
-        ranking, t_sn = method.value, out.t_sn
-        return [RunRecord(cid, name, pp, sp, ranking, label,
-                          r, trace.coverage, trace.duration,
-                          trace.first_step_reaching(mean_c_sn),
-                          trace.cumulative_at(t_sn), trace.forfeited)
-                for label, traces in out.runs
-                for r, trace in enumerate(traces)]
-    except Exception as exc:
-        raise GridError(f"config {cid} failed: {exc}") from exc
+def _block_records(block: Tuple[str, float]) -> List[RunRecord]:
+    """The records of one (graph, pp) block, in config order: configs by
+    sp, then ranking; within one, SN and then the strategies as listed;
+    within one, by run id. Each final state becomes its record at once."""
+    name, pp = block
+    spec = _grid["spec"]
+    labels = ["SN"] + [s.label for s in spec.strategies if s.kind != "SN"]
+    column = {label: i for i, label in enumerate(labels)}
+    position = {config_id(name, pp, sp, method): i for i, (sp, method)
+                in enumerate(product(spec.sp_values, spec.rankings))}
+    reps = spec.replications
+    records: List[Optional[RunRecord]] = [None] * (len(position)
+                                                   * len(labels) * reps)
+    for cfg, label, r, state in run_block(spec, name, _grid["graphs"][name],
+                                          pp, _grid["rankings"]):
+        slot = (position[cfg.cid] * len(labels) + column[label]) * reps + r
+        records[slot] = RunRecord(
+            cfg.cid, name, pp, cfg.sp, cfg.method.value, label, r,
+            state.coverage, state.duration,
+            state.first_step_reaching(cfg.mean_c_sn),
+            state.cumulative_at(cfg.t_sn), state.forfeited)
+    return records
 
 
 def run_grid(spec: GridSpec, jobs: int = 1) -> List[RunRecord]:
-    """Run the full grid on `jobs` processes. A k above some configuration's
-    seed budget fails the grid before any run; a configuration that fails
-    while it runs fails the grid with a GridError."""
+    """Run the full grid on `jobs` processes, one (graph, pp) block per
+    task, and return its records in config order. A k above some
+    configuration's seed budget fails the grid before any run; a
+    configuration that fails while it runs fails the grid with a
+    GridError."""
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     spec.check_budgets()
+    blocks = [(name, pp) for name, _ in spec.graphs for pp in spec.pp_values]
     if jobs == 1:
         _start_worker(spec)
         try:
-            return [rec for chunk in map(_config_records, spec.configs())
+            return [rec for chunk in map(_block_records, blocks)
                     for rec in chunk]
         finally:
             _grid.clear()
     import multiprocessing  # only here: it adds about 1 MB to a serial run
 
     with multiprocessing.Pool(jobs, _start_worker, (spec,)) as pool:
-        chunks = pool.map(_config_records, spec.configs())
+        chunks = pool.map(_block_records, blocks)
     return [rec for chunk in chunks for rec in chunk]
 
 
@@ -265,7 +309,8 @@ class ComparisonSummary:
 
 def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
     """Pair every sequential strategy against its config's SN baseline.
-    A repeated (config_id, strategy, run_id) raises ValueError."""
+    A repeated (config_id, strategy, run_id), or a (config_id, strategy)
+    whose run ids differ from its SN block's, raises ValueError."""
     by_config: Dict[str, Dict[str, List[RunRecord]]] = {}
     for rec in records:
         by_config.setdefault(rec.config_id, {}).setdefault(rec.strategy, []).append(rec)
@@ -281,15 +326,21 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
         if "SN" not in block:
             raise ValueError(f"missing SN baseline for config {cid}")
         sn = block["SN"]
+        sn_ids = {r.run_id for r in sn}
         mean_c_sn = sum(r.coverage for r in sn) / len(sn)
         mean_t_sn = sum(r.duration for r in sn) / len(sn)
         for strategy in sorted(block):
             runs = block[strategy]
-            if len({r.run_id for r in runs}) < len(runs):
+            ids = {r.run_id for r in runs}
+            if len(ids) < len(runs):
                 counts = Counter(r.run_id for r in runs)
                 run = next(i for i, c in counts.items() if c > 1)
                 raise ValueError(f"repeated record: config {cid}, "
                                  f"strategy {strategy}, run {run}")
+            if ids != sn_ids:
+                raise ValueError(f"unpaired runs: config {cid}, strategy "
+                                 f"{strategy}: runs {sorted(ids ^ sn_ids)} "
+                                 f"not in both it and SN")
             mean_c = sum(r.coverage for r in runs) / len(runs)
             mean_t = sum(r.duration for r in runs) / len(runs)
             cov_ratio = mean_c / mean_c_sn if mean_c_sn > 0 else None

@@ -2,9 +2,10 @@
 
 Rankings are computed once on the initial network; sequential strategies pick
 from them dynamically, taking the best nodes still inactive at each stage.
-A method's score order depends only on the graph (`score_order`), so a grid
-builds it once per (graph, method); each configuration's rng then only breaks
-ties, and a ranking without tied scores draws nothing from it.
+A method's score order depends only on the graph (`score_order`), and a grid
+ranks each (graph, method) once, from one rng stream that only breaks ties;
+a ranking without tied scores draws nothing from it. RANDOM shuffles all
+nodes from its stream, so a grid has one random order per graph.
 """
 from __future__ import annotations
 

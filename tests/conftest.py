@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -76,3 +77,89 @@ def path3():
 def star5():
     # center 0 with 4 leaves
     return load_edge_list("0 1\n0 2\n0 3\n0 4")
+
+
+def per_config_states(graph, ranking, spec, n, worlds, t_sn=None):
+    """Reference: each world's final state of `spec` at the one budget n,
+    planned as that budget's own stages and run stage by stage, the way the
+    grid ran every configuration before budgets became checkpoints of one
+    run. It shares only `advance` and the plan checks with the program."""
+    from seqseed.diffusion import UNTIL_STOP, DiffusionState, advance
+
+    if spec.kind.startswith("SQ_kPS"):
+        assert 1 <= spec.k <= n
+        sizes = [spec.k] * (n // spec.k) + ([n % spec.k] if n % spec.k else [])
+    elif spec.kind == "SN":
+        sizes = [n]
+    else:
+        ref = spec.t_sn if spec.t_sn is not None else t_sn
+        stages = min(n, ref)
+        base, rem = divmod(n, stages)
+        sizes = [base + 1] * rem + [base] * (stages - rem)
+    order = ranking.order
+
+    def run_stages(state, sizes, until_stop, live):
+        cursor = spent = 0
+        for i, size in enumerate(sizes):
+            batch = []
+            want = size
+            while want and cursor < len(order):
+                v = order[cursor]
+                cursor += 1
+                if not state.flags[v]:
+                    batch.append(v)
+                    want -= 1
+            spent += size - want
+            advance(state, live, UNTIL_STOP if until_stop or want
+                    or i == len(sizes) - 1 else 1, batch)
+            if want:
+                break
+        return spent
+
+    for live in worlds:
+        state = DiffusionState(graph)
+        if spec.kind == "SQ_kPS_B":
+            schedule = order[:n]
+            start = spent = 0
+            for size in sizes:
+                batch = [v for v in schedule[start:start + size]
+                         if not state.flags[v]]
+                start += size
+                spent += len(batch)
+                advance(state, live, 1 if start < n else UNTIL_STOP, batch)
+            spent += run_stages(state, [n - spent], True, live)
+        else:
+            spent = run_stages(state, sizes, spec.kind.endswith("_R"), live)
+        state.forfeited = n - spent
+        yield state
+
+
+def per_config_records(spec):
+    """Reference records of a grid: every configuration run on its own, in
+    config order, on the grid's worlds and its one ranking per (graph,
+    method), each strategy through `per_config_states`."""
+    from seqseed.experiment import RunRecord, config_id, derive_rng, sample_worlds
+    from seqseed.ranking import rank
+    from seqseed.strategies import StrategySpec, seed_count
+
+    graphs = dict(spec.graphs)
+    records = []
+    for name, pp, sp, method in spec.configs():
+        g = graphs[name]
+        ranking = rank(g, method, derive_rng(spec.master_seed, name,
+                                             method.value, "ranking"))
+        worlds = sample_worlds(spec, name, g, pp)
+        n = seed_count(g, sp)
+        sn = list(per_config_states(g, ranking, StrategySpec("SN"), n, worlds))
+        mean_c = sum(t.coverage for t in sn) / len(sn)
+        t_sn = max(1, math.floor(sum(t.duration for t in sn) / len(sn) + 0.5))
+        runs = [("SN", sn)] + [
+            (s.label, per_config_states(g, ranking, s, n, worlds, t_sn))
+            for s in spec.strategies if s.kind != "SN"]
+        cid = config_id(name, pp, sp, method)
+        records += [RunRecord(cid, name, pp, sp, method.value, label, r,
+                              t.coverage, t.duration,
+                              t.first_step_reaching(mean_c),
+                              t.cumulative_at(t_sn), t.forfeited)
+                    for label, states in runs for r, t in enumerate(states)]
+    return records

@@ -270,9 +270,9 @@ def test_criterion_6_gain_decreases_with_pp(desk_grid):
     On this grid (mean over the 25 configs per graph and pp):
 
         gain        pp 0.05  0.10  0.15  0.20  0.25
-        grid mean      .060  .116  .148  .140  .098
-        ba1000         .087  .164  .165  .121  .087
-        er1000         .032  .068  .130  .160  .109
+        grid mean      .059  .115  .148  .139  .097
+        ba1000         .086  .161  .165  .120  .086
+        er1000         .032  .069  .131  .157  .108
 
     with thresholds pp_c = ba1000 0.074, er1000 0.171 from each graph's
     degree sequence. Within ba1000's own supercritical range the gain still

@@ -199,20 +199,21 @@ class TestSimulate:
 
 # sha256 over the names and bytes of every CSV `seqseed simulate` writes
 # (trace_*.csv and mean_curve.csv) for one kind on a 60-node BA graph; a
-# change of it is a change of simulate's output bytes
+# change of it is a change of simulate's output bytes. Re-baselined when the
+# ranking stream became one per (graph, method).
 PINNED_SIMULATE_SHA256 = {
     "SN":
         "99e78a4a0f82eb511f1ee840318e99e4ff7601d777e5d07a1dce79fe360612e8",
     "SQ_2PS":
-        "f7c840ac97b4e9e34e474283b7eba31586da56ca8965cd99ea3e3545d2be736a",
+        "79468bbf8af33c1999bef73b350d4ec7e4a9a667b641b027ee32d336cc553e0e",
     "SQ_2PS_R":
-        "eed7625d95da94b8cd3dab28805e0d588b4976ce53b539baa5fe361a6b0080f0",
+        "832c60a2400d043d3d17977fee1efbee01f594f1226c79da25bcca3e353b45c3",
     "SQ_2PS_B":
-        "32bd28fff2bfcbd9c9ffef309938a567a7b2f2bdb596058ae29c19c1788138d0",
+        "82565400f4bca8001e75b6539687cb595f3ba992fdfee6bdb6e850830c8434e9",
     "SQ_TSN":
-        "31b206c8e8b6dd43d98bfeea48db75e3a80796aac88bda2833182864a05aba8b",
+        "a3af4edb4b234ccc2e3a3bc5c44c84c46d20074ace8944bf395356b855057c64",
     "SQ_TSN_R":
-        "d1fce52904e43fc7e57d63034665533a1d0541be140fcfe169e53b101c6b9aec",
+        "5fb76de372b284b1e880f36cbe2be14b4542371c641c8233f8a49a6f8d584e3a",
 }
 
 
@@ -270,6 +271,24 @@ class TestGridAndSummarize:
                                 "--out-dir", str(tmp_path / "sum")], capsys)
         assert code == 1
         assert "repeated record: config ba|pp=0.1|sp=0.05|degree" in err
+        assert not (tmp_path / "sum" / "summary.csv").exists()
+
+    def test_summarize_unpaired_run_exits_nonzero(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CONFIG))
+        code, _, _ = run_cli(["grid", "--config", str(cfg),
+                              "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 0
+        header, *rows = (tmp_path / "out" / "records.csv").read_text().splitlines()
+        dropped = [row for row in rows if ",SQ_1PS_R,1," not in row]
+        assert len(dropped) == len(rows) - 1
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join([header] + dropped) + "\n")
+        code, _, err = run_cli(["summarize", "--records", str(short),
+                                "--out-dir", str(tmp_path / "sum")], capsys)
+        assert code == 1
+        assert ("unpaired runs: config ba|pp=0.1|sp=0.05|degree, strategy "
+                "SQ_1PS_R: runs [1] not in both it and SN") in err
         assert not (tmp_path / "sum" / "summary.csv").exists()
 
     def test_grid_byte_identical_reruns(self, tmp_path, capsys):

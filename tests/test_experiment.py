@@ -10,12 +10,14 @@ from hypothesis import given, strategies as st
 
 from seqseed import experiment, strategies as strategy_module
 from seqseed.experiment import (GridError, GridSpec, RunRecord, config_id,
-                                derive_rng, read_records_csv, run_config,
+                                derive_rng, read_records_csv, run_block,
                                 run_grid, summarize, write_records_csv,
                                 write_scatter_csv, write_summary_csv)
 from seqseed.graphs import ParameterError, generate_ba, generate_er, load_edge_list
-from seqseed.ranking import RankingMethod
-from seqseed.strategies import StrategySpec
+from seqseed.ranking import RankingMethod, rank
+from seqseed.strategies import StrategySpec, seed_count
+
+from conftest import per_config_records
 
 
 def small_spec(strategies, replications=3, master_seed=11, pp_values=(0.2,)):
@@ -26,12 +28,17 @@ def small_spec(strategies, replications=3, master_seed=11, pp_values=(0.2,)):
                     replications=replications, master_seed=master_seed)
 
 
-def config_tsn(graph, pp, sp, score_cache=None):
-    """t_sn of a one-config grid: the rounded mean of 5 SN durations."""
+def config_tsn(graph, pp, sp, scores=None):
+    """t_sn of a one-config grid: the rounded mean of 5 SN durations, on
+    the degree ranking from `scores` when given."""
     spec = GridSpec([("g", graph)], [pp], [sp], [RankingMethod.DEGREE],
                     [StrategySpec("SN")], replications=5, master_seed=2)
-    return run_config(spec, "g", graph, pp, sp, RankingMethod.DEGREE,
-                      score_cache).t_sn
+    rankings = {}
+    if scores is not None:
+        rankings["g", RankingMethod.DEGREE] = rank(
+            graph, RankingMethod.DEGREE, random.Random(0), scores=scores)
+    cfg, *_ = next(run_block(spec, "g", graph, pp, rankings))
+    return cfg.t_sn
 
 
 class TestConfigTsn:
@@ -45,14 +52,12 @@ class TestConfigTsn:
     def test_path_end_seed_pp_one(self):
         g = load_edge_list("0 1\n1 2\n2 3\n3 4")
         # precomputed scores that rank the end node 0 first
-        cache = {("g", RankingMethod.DEGREE): [5.0, 4.0, 3.0, 2.0, 1.0]}
-        assert config_tsn(g, 1.0, 0.2, cache) == 4
+        assert config_tsn(g, 1.0, 0.2, [5.0, 4.0, 3.0, 2.0, 1.0]) == 4
 
     def test_cached_scores_of_wrong_length_name_the_method(self):
         g = load_edge_list("0 1\n1 2\n2 3\n3 4")
-        cache = {("g", RankingMethod.DEGREE): [5.0, 4.0, 3.0]}
         with pytest.raises(ValueError, match="degree scores: 3 values for 5"):
-            config_tsn(g, 1.0, 0.2, cache)
+            config_tsn(g, 1.0, 0.2, [5.0, 4.0, 3.0])
 
 
 class TestRunGrid:
@@ -134,8 +139,9 @@ class TestRunGridJobs:
             run_grid(small_spec([StrategySpec("SN")]), jobs=jobs)
 
     def test_one_stream_per_config_and_world(self, monkeypatch):
-        """Each config derives its ranking stream, and each (graph, pp, run)
-        one world stream that every sp, ranking and strategy shares."""
+        """Each (graph, method) derives one ranking stream that every pp and
+        sp shares, and each (graph, pp, run) one world stream that every sp,
+        ranking and strategy shares."""
         calls = []
         real = experiment.derive_rng
 
@@ -147,12 +153,13 @@ class TestRunGridJobs:
         spec = pinned_grid()
         run_grid(spec, jobs=1)
         worlds = len(spec.graphs) * len(spec.pp_values) * spec.replications
-        assert len(calls) == len(spec.configs()) + worlds
+        assert len(calls) == len(spec.graphs) * len(spec.rankings) + worlds
         assert len(set(calls)) == len(calls)
 
     def test_one_plan_per_config_and_strategy(self, monkeypatch):
         """Each (config, strategy) checks its budget and plans its stages
-        once for all its worlds, whatever the replication count."""
+        once for all its worlds, whatever the replication count; SQ_kPS and
+        SQ_kPS_R plan once per (graph, pp, ranking), for all its budgets."""
         calls = []
         real = strategy_module._plan
 
@@ -162,12 +169,40 @@ class TestRunGridJobs:
 
         monkeypatch.setattr(strategy_module, "_plan", plan)
         spec = pinned_grid()
-        non_sn = sum(1 for s in spec.strategies if s.kind != "SN")
+        shared = sum(1 for s in spec.strategies if s.shares_budgets)
+        per_config = len(spec.strategies) - shared  # SN among them
+        blocks = len(spec.graphs) * len(spec.pp_values) * len(spec.rankings)
         for replications in (1, spec.replications):
             calls.clear()
             run_grid(dataclasses.replace(spec, replications=replications),
                      jobs=1)
-            assert len(calls) == len(spec.configs()) * (1 + non_sn)
+            assert len(calls) == (len(spec.configs()) * per_config
+                                  + blocks * shared)
+
+    def test_one_world_list_per_block_and_one_ranking_per_method(
+            self, monkeypatch):
+        """At jobs=1 a grid samples each (graph, pp) block's worlds once and
+        ranks each (graph, method) once, for every sp and pp."""
+        worlds = Counter()
+        ranks = Counter()
+        real_sample, real_rank = experiment.sample_worlds, experiment.rank
+
+        def sample_worlds(spec, name, graph, pp):
+            worlds[name, pp] += 1
+            return real_sample(spec, name, graph, pp)
+
+        def rank(graph, method, *args, **kwargs):
+            ranks[graph, method] += 1
+            return real_rank(graph, method, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "sample_worlds", sample_worlds)
+        monkeypatch.setattr(experiment, "rank", rank)
+        spec = pinned_grid()
+        run_grid(spec, jobs=1)
+        assert worlds == {(name, pp): 1 for name, _ in spec.graphs
+                          for pp in spec.pp_values}
+        assert ranks == {(g, m): 1 for _, g in spec.graphs
+                         for m in spec.rankings}
 
 
     def test_one_score_order_per_graph_and_method(self, monkeypatch):
@@ -246,12 +281,13 @@ def test_gain_decreases_with_pp_past_transition():
 
 # sha256 of the records CSV of pinned_grid(); a change of it is a change of
 # the program's output bytes. Re-baselined when runs moved to shared
-# live-edge worlds and the records gained the forfeited column.
-PINNED_RECORDS_SHA256 = "31896d922e4a4e14374ca2c2efba508fc33682fb1ca7ea9a3ad45a630adfe6e3"
+# live-edge worlds and the records gained the forfeited column, and again
+# when the ranking stream became one per (graph, method).
+PINNED_RECORDS_SHA256 = "c36e4abe2cea0cd6ae0f3508964ace917f47dca9c6a001091e50a6a44d28795b"
 # sha256 of the summary and scatter CSVs of summarize(run_grid(pinned_grid())),
 # re-baselined with the records
-PINNED_SUMMARY_SHA256 = "b05b26c98aefe88bdbef08bcc0a255d73905ab1b254d98e15d709980c81373e6"
-PINNED_SCATTER_SHA256 = "e51e31da189483f3857fccdb45530fc952225039b591ce5a3e294e91b9d904d8"
+PINNED_SUMMARY_SHA256 = "bc90befc203be769b267fc7d081065ea1c733e15b018896426a4f135dd06e2f7"
+PINNED_SCATTER_SHA256 = "67de54c60fb8a4e9e7e0fd68c162a501068758eafbb943dafd0da5ea893092f5"
 
 def csv_sha256(write, rows):
     buf = io.StringIO()
@@ -279,13 +315,13 @@ def test_records_bytes_pinned():
     TSN with n < t_sn, buffering that banks, and saturated pp = 1 configs
     that forfeit budget."""
     spec = pinned_grid()
-    graphs = dict(spec.graphs)
-    outs = [run_config(spec, name, graphs[name], pp, sp, method)
-            for name, pp, sp, method in spec.configs()]
-    assert any(out.n % 2 for out in outs)
-    assert any(out.n < out.t_sn for out in outs)
-    forfeits = {label for out in outs for label, traces in out.runs
-                if any(t.forfeited for t in traces)}
+    rankings = {}
+    runs = [(cfg, label, state.forfeited) for name, g in spec.graphs
+            for pp in spec.pp_values
+            for cfg, label, _, state in run_block(spec, name, g, pp, rankings)]
+    assert any(cfg.n % 2 for cfg, _, _ in runs)
+    assert any(cfg.n < cfg.t_sn for cfg, _, _ in runs)
+    forfeits = {label for _, label, forfeited in runs if forfeited}
     # buffering forfeits only units it banked and could not spend
     assert {"SQ_2PS", "SQ_2PS_B", "SQ_TSN_R"} <= forfeits
     records = run_grid(spec)
@@ -301,6 +337,60 @@ def test_summary_bytes_pinned():
     summary = summarize(run_grid(pinned_grid()))
     assert csv_sha256(write_summary_csv, summary) == PINNED_SUMMARY_SHA256
     assert csv_sha256(write_scatter_csv, summary) == PINNED_SCATTER_SHA256
+
+
+def oracle_grids():
+    """Grids whose checkpointed records must equal per-config runs."""
+    g200 = generate_ba(200, 2, random.Random(9))
+    kinds = [StrategySpec.parse(s) for s in (
+        "SN", "SQ_1PS", "SQ_1PS_R", "SQ_2PS", "SQ_2PS_R", "SQ_3PS",
+        "SQ_3PS_R", "SQ_TSN")]
+    return {
+        "pinned": pinned_grid(),
+        # sp out of order; k = 3 divides neither n = 2 (k = 1, 2) nor 6, 15
+        "sp-unordered": GridSpec(
+            [("er20", generate_er(20, 0.25, random.Random(3)))], [0.3, 1.0],
+            [0.25, 0.15, 0.5, 0.7], [RankingMethod.DEGREE],
+            [StrategySpec.parse(s) for s in ("SN", "SQ_1PS", "SQ_2PS_R",
+                                             "SQ_3PS", "SQ_3PS_R")],
+            replications=4, master_seed=5),
+        # sp 0.01 and 0.012 both give n = 2 on 200 nodes
+        "same-budget": GridSpec(
+            [("ba200", g200)], [0.1, 1.0], [0.05, 0.012, 0.01, 0.03],
+            [RankingMethod.PAGERANK, RankingMethod.RANDOM],
+            kinds[:3] + [StrategySpec.parse("SQ_2PS_R")],
+            replications=3, master_seed=77),
+        # k = 3 with n = 3, 5, 10: k divides one budget of three
+        "k-not-dividing": GridSpec(
+            [("ba30", generate_ba(30, 2, random.Random(7)))], [0.2, 0.6],
+            [0.1, 0.17, 0.33], [RankingMethod.DEGREE2],
+            [k for k in kinds if k.kind == "SN" or k.k != 2],
+            replications=5, master_seed=31),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(oracle_grids()))
+def test_checkpointed_records_equal_per_config_runs(name):
+    """Each SQ_kPS(_R) strategy runs once per (graph, pp, ranking, world)
+    with every budget a checkpoint; its records equal, byte for byte, those
+    of running every configuration on its own."""
+    spec = oracle_grids()[name]
+    assert (records_sha256(run_grid(spec))
+            == records_sha256(per_config_records(spec)))
+
+
+def test_saturating_grid_forfeits_at_every_budget():
+    """At pp = 1 on a connected graph SQ_kPS_R's first stage activates every
+    node, so its second stage is short and ends every budget at once, each
+    forfeiting all but k seeds."""
+    spec = dataclasses.replace(oracle_grids()["same-budget"], pp_values=[1.0])
+    graph = dict(spec.graphs)["ba200"]
+    k = {"SQ_1PS_R": 1, "SQ_2PS_R": 2}
+    checked = [r for r in run_grid(spec) if r.strategy in k]
+    assert len(checked) == len(k) * len(spec.configs()) * spec.replications
+    for r in checked:
+        assert r.coverage == 200
+        assert r.forfeited == seed_count(graph, r.sp) - k[r.strategy], r
 
 
 def make_record(cid, strategy, run_id, coverage, duration=3):
@@ -361,6 +451,22 @@ class TestSummarize:
             summarize(records + records)
         with pytest.raises(ValueError, match="strategy SQ_1PS_R, run 3"):
             summarize(records + records[-1:])
+
+
+    def test_unpaired_run_raises(self):
+        """Dropping SQ_1PS_R's lowest-coverage run would raise its mean
+        coverage; the summary names the run instead."""
+        records = run_grid(small_spec([StrategySpec.parse("SQ_1PS_R")],
+                                      replications=10))
+        low = min((r for r in records if r.strategy == "SQ_1PS_R"),
+                  key=lambda r: r.coverage)
+        with pytest.raises(ValueError, match=r"unpaired runs: config "
+                           r"ba60\|pp=0\.2\|sp=0\.05\|degree, strategy "
+                           rf"SQ_1PS_R: runs \[{low.run_id}\] not in both"):
+            summarize([r for r in records if r is not low])
+        sn = next(r for r in records if r.strategy == "SN")
+        with pytest.raises(ValueError, match=rf"runs \[{sn.run_id}\] not in"):
+            summarize([r for r in records if r is not sn])
 
 
 # printable text, with the CSV delimiter, the quote and the config id separator

@@ -11,7 +11,7 @@ from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
 from seqseed.ranking import Ranking, RankingMethod, rank
 from seqseed.strategies import StrategySpec, run_on_worlds, run_strategy, seed_count
 
-from conftest import exact_process_expectation
+from conftest import exact_process_expectation, per_config_states
 
 
 def degree_ranking(g, seed=0):
@@ -19,8 +19,9 @@ def degree_ranking(g, seed=0):
 
 
 def run_on(g, r, spec, n, live, t_sn=None):
-    """The one state that `run_on_worlds` yields for the single world `live`."""
-    (state,) = run_on_worlds(g, r, spec, n, [live], t_sn)
+    """The one state that `run_on_worlds` yields for the single world `live`
+    at budget n."""
+    ((_, state),) = run_on_worlds(g, r, spec, [n], [live], t_sn)
     return state
 
 
@@ -426,3 +427,38 @@ class TestSharedWorlds:
                 lambda w, spec=spec: run_on(g, r, spec, n, w, 2).coverage,
                 g, pp)
             assert mean == oracle, spec.label
+
+
+@st.composite
+def budget_cases(draw):
+    """A world case with a set of budgets, each at least its k."""
+    g, live, r, n, k, _ = draw(world_cases())
+    budgets = draw(st.lists(st.integers(k, g.node_count), max_size=4))
+    return g, live, r, budgets + [n], k
+
+
+class TestCheckpoints:
+    """SQ_kPS and SQ_kPS_R run once at the largest budget; each smaller
+    budget's final state is finished from a checkpoint of that run."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(budget_cases())
+    def test_checkpoints_equal_per_budget_runs(self, case):
+        g, live, r, budgets, k = case
+        for kind in ("SQ_kPS", "SQ_kPS_R"):
+            spec = StrategySpec(kind, k=k)
+            # a yielded state may go on, so keep a copy of each
+            got = [(n, state.copy()) for n, state
+                   in run_on_worlds(g, r, spec, budgets, [live])]
+            assert [n for n, _ in got] == sorted(set(budgets))
+            for n, state in got:
+                (want,) = per_config_states(g, r, spec, n, [live])
+                assert state == want, (spec.label, n)
+
+    def test_one_budget_kinds_reject_several(self):
+        g = generate_ba(30, 2, random.Random(1))
+        live = sample_world(g, 0.2, random.Random(0))
+        for spec in (StrategySpec("SN"), StrategySpec("SQ_kPS_B", k=1),
+                     StrategySpec("SQ_TSN", t_sn=2)):
+            with pytest.raises(ParameterError, match="one budget at a time"):
+                list(run_on_worlds(g, degree_ranking(g), spec, [3, 6], [live]))
