@@ -278,7 +278,7 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> List[RunRecord]:
     return [rec for chunk in chunks for rec in chunk]
 
 
-@dataclass
+@dataclass(slots=True)
 class ConfigStrategyRow:
     config_id: str
     strategy: str
@@ -288,7 +288,7 @@ class ConfigStrategyRow:
     duration_ratio: Optional[float]
 
 
-@dataclass
+@dataclass(slots=True)
 class StrategyRow:
     strategy: str
     n_configs: int
@@ -392,20 +392,65 @@ def _fmt(x):
     return f"{x:.6g}" if isinstance(x, float) else x
 
 
+class _Memo(dict):
+    """Maps each distinct field value to parse(value), parsed once and then
+    shared. A falsy key is parsed every time and not kept: 0.0 and -0.0 are
+    equal keys but format as 0 and -0."""
+    __slots__ = ("parse",)
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, key):
+        value = self.parse(key)
+        if key:
+            self[key] = value
+        return value
+
+
 def write_records_csv(records: Sequence[RunRecord], out: TextIO) -> None:
+    text = _Memo(_fmt)
     out.write(RECORD_COLUMNS + "\n")
     csv.writer(out, lineterminator="\n").writerows([
-        r.config_id, r.graph, _fmt(r.pp), _fmt(r.sp), r.ranking, r.strategy,
+        r.config_id, r.graph, text[r.pp], text[r.sp], r.ranking, r.strategy,
         r.run_id, r.coverage, r.duration, r.t_reach_csn, r.coverage_at_tsn,
         r.forfeited]
         for r in records)
 
 
+_NUMERIC_COLUMNS = ((2, float, "a number"), (3, float, "a number"),
+                    *((i, int, "an integer") for i in range(6, 12)))
+
+
+def _raise_field_error(line: int, fields: List[str]) -> None:
+    """Raise ValueError naming the line and the first numeric column of a
+    row that does not parse."""
+    names = RECORD_COLUMNS.split(",")
+    for i, parse, kind in _NUMERIC_COLUMNS:
+        if i == 9 and not fields[i]:  # t_reach_csn is empty when never reached
+            continue
+        try:
+            parse(fields[i])
+        except ValueError:
+            raise ValueError(f"line {line}: {names[i]} {fields[i]!r} "
+                             f"is not {kind}") from None
+
+
 def read_records_csv(lines) -> List[RunRecord]:
+    """Parse a records CSV, as written by write_records_csv, into records
+    equal field for field to the ones written.
+
+    Each distinct text of a column is parsed once, and the one str, float or
+    int made from it is shared by every row that repeats it. So the records
+    read back take about as much memory as the grid's own: about 140 bytes
+    a record. A row with the wrong field count, or a numeric field that does
+    not parse, raises ValueError naming its line."""
     reader = csv.reader(io.StringIO(lines) if isinstance(lines, str) else lines)
     header = next(reader, [])
     if header != RECORD_COLUMNS.split(","):
         raise ValueError(f"unexpected records header: {','.join(header)!r}")
+    name, number, integer = _Memo(str), _Memo(float), _Memo(int)
     records = []
     for f in reader:
         if not f:
@@ -413,10 +458,15 @@ def read_records_csv(lines) -> List[RunRecord]:
         if len(f) != 12:
             raise ValueError(f"line {reader.line_num}: expected 12 fields, "
                              f"got {len(f)}")
-        records.append(RunRecord(
-            f[0], f[1], float(f[2]), float(f[3]), f[4], f[5], int(f[6]),
-            int(f[7]), int(f[8]), int(f[9]) if f[9] else None, int(f[10]),
-            int(f[11])))
+        try:
+            records.append(RunRecord(
+                name[f[0]], name[f[1]], number[f[2]], number[f[3]], name[f[4]],
+                name[f[5]], integer[f[6]], integer[f[7]], integer[f[8]],
+                integer[f[9]] if f[9] else None, integer[f[10]],
+                integer[f[11]]))
+        except ValueError:
+            _raise_field_error(reader.line_num, f)
+            raise
     return records
 
 

@@ -14,8 +14,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from operator import ne
+from itertools import compress, repeat
+from operator import mul, ne, sub, truediv
 from typing import List, Optional, Tuple, Union
 
 from .graphs import Graph
@@ -69,10 +69,11 @@ def pagerank_scores(graph: Graph, damping: float = 0.85, tol: float = 1e-10,
     n = graph.node_count
     adj = graph.adjacency
     deg = [len(a) for a in adj]
+    is_dangling = [d == 0 for d in deg]
     x = [1.0 / n] * n
     base = (1.0 - damping) / n
     for it in range(1, max_iter + 1):
-        dangling = sum(x[u] for u in range(n) if deg[u] == 0)
+        dangling = sum(compress(x, is_dangling))
         spread = base + damping * dangling / n
         y = [spread] * n
         for u in range(n):
@@ -80,7 +81,7 @@ def pagerank_scores(graph: Graph, damping: float = 0.85, tol: float = 1e-10,
                 share = damping * x[u] / deg[u]
                 for v in adj[u]:
                     y[v] += share
-        diff = sum(abs(y[i] - x[i]) for i in range(n))
+        diff = sum(map(abs, map(sub, y, x)))
         x = y
         if diff < tol:
             return PowerIterationResult(x, it, True)
@@ -109,8 +110,8 @@ def eigenvector_scores(graph: Graph, tol: float = 1e-10,
             xu = x[u]
             for v in adj[u]:
                 y[v] += xu
-        norm = math.sqrt(sum(t * t for t in y))
-        y = [t / norm for t in y]
+        norm = math.sqrt(sum(map(mul, y, y)))
+        y = list(map(truediv, y, repeat(norm)))
         dist = math.sqrt(sum((y[i] - x[i]) ** 2 for i in range(n)))
         x = y
         if dist < tol:

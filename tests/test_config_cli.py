@@ -291,6 +291,24 @@ class TestGridAndSummarize:
                 "SQ_1PS_R: runs [1] not in both it and SN") in err
         assert not (tmp_path / "sum" / "summary.csv").exists()
 
+    def test_summarize_bad_number_exits_nonzero(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CONFIG))
+        code, _, _ = run_cli(["grid", "--config", str(cfg),
+                              "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 0
+        lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
+        row = lines[6].split(",")
+        row[6] = "x"  # run_id
+        lines[6] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(["summarize", "--records", str(bad),
+                                "--out-dir", str(tmp_path / "sum")], capsys)
+        assert code == 1
+        assert "line 7: run_id 'x' is not an integer" in err
+        assert not (tmp_path / "sum" / "summary.csv").exists()
+
     def test_grid_byte_identical_reruns(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(GRID_CONFIG))

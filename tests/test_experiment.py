@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import io
+import math
 import multiprocessing
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -504,6 +506,60 @@ class TestRecordsCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             read_records_csv("nope\n1,2,3\n")
+
+    def test_repeated_fields_share_one_object(self):
+        spec = small_spec([StrategySpec("SQ_TSN"), StrategySpec("SQ_kPS", k=1)],
+                          pp_values=(0.1, 0.2))
+        buf = io.StringIO()
+        write_records_csv(run_grid(spec), buf)
+        records = read_records_csv(buf.getvalue())
+        for field in ("config_id", "graph", "pp", "sp", "ranking", "strategy"):
+            values = [getattr(r, field) for r in records]
+            assert len({id(v) for v in values}) == len(set(values)), field
+        first = {}
+        for r in records:
+            config = first.setdefault(r.config_id, r)
+            assert r.config_id is config.config_id
+            assert r.graph is config.graph
+            assert r.ranking is config.ranking
+            same = first.setdefault((r.config_id, r.strategy), r)
+            assert r.strategy is same.strategy
+
+    def test_signed_zero_pp_roundtrips_byte_for_byte(self):
+        def record(pp, run_id):
+            cid = config_id("g", pp, 0.5, RankingMethod.DEGREE)
+            return RunRecord(cid, "g", pp, 0.5, "degree", "SN", run_id,
+                             1, 0, None, 1, 0)
+
+        records = [record(0.0, 0), record(-0.0, 0), record(0.0, 1),
+                   record(-0.0, 1)]
+        buf = io.StringIO()
+        write_records_csv(records, buf)
+        text = buf.getvalue()
+        assert [line.split(",")[2] for line in text.splitlines()[1:]] == [
+            "0", "-0", "0", "-0"]
+        read_back = read_records_csv(text)
+        assert [math.copysign(1, r.pp) for r in read_back] == [1, -1, 1, -1]
+        again = io.StringIO()
+        write_records_csv(read_back, again)
+        assert again.getvalue() == text
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("pp", "x", "line 3: pp 'x' is not a number"),
+        ("sp", "", "line 3: sp '' is not a number"),
+        ("run_id", "x", "line 3: run_id 'x' is not an integer"),
+        ("t_reach_csn", "1.5", "line 3: t_reach_csn '1.5' is not an integer"),
+        ("forfeited", "-", "line 3: forfeited '-' is not an integer")])
+    def test_bad_number_names_line_and_column(self, column, value, message):
+        records = run_grid(small_spec([StrategySpec("SN")], replications=2))
+        buf = io.StringIO()
+        write_records_csv(records, buf)
+        header, first, second = buf.getvalue().splitlines()
+        row = second.split(",")
+        row[header.split(",").index(column)] = value
+        bad = "\n".join([header, first, ",".join(row)]) + "\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_records_csv(bad)
 
 
 class TestDeriveRng:

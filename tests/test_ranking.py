@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqseed import ranking
-from seqseed.graphs import generate_er, load_edge_list
+from seqseed.graphs import generate_ba, generate_er, load_edge_list
 from seqseed.ranking import (PowerIterationResult, Ranking, RankingMethod,
                              eigenvector_scores, method_scores,
                              pagerank_scores, rank, score_order, shuffle,
@@ -253,6 +255,39 @@ def test_converged_power_iteration_is_silent(recwarn):
     for method in (RankingMethod.PAGERANK, RankingMethod.EIGENVECTOR):
         method_scores(g, method)
     assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
+# sha256 of the iteration count and the float.hex scores. From Python 3.12
+# on, sum() of floats is compensated, which changes the eigenvector norms;
+# its 3.12+ digests were computed with the same code under a pure-Python
+# copy of 3.12's summation.
+COMPENSATED_SUM = sys.version_info >= (3, 12)
+PINNED_POWER_SHA256 = {
+    ("ba", "pagerank_scores"):
+        "e6d0856763356603c8b3924492aabaddeac043c2411ca02a22d1c8cbdd432113",
+    ("er", "pagerank_scores"):
+        "36f89a5374fa17a64275528a87bc1a4e17a5bbe8fb797723751b1f32c629dc4b",
+    ("ba", "eigenvector_scores"): (
+        "557fdd732a86bfb4a33ddb31591100bea860c84c95a0e2ce33ac4d51e5d24283"
+        if COMPENSATED_SUM else
+        "7488334d0c1dc99ee139e80d82ca531d38a0cd8521e14598ff5acc24859d5e13"),
+    ("er", "eigenvector_scores"): (
+        "ddb057ccc32fe39ad8e007b33034ffde5ae3397e852699f63c0bc825e1c696ff"
+        if COMPENSATED_SUM else
+        "8527305bb2614698d0701c0a55bba858c161f26d5f6c933089bd36eb194a6a51"),
+}
+
+
+@pytest.mark.parametrize("name, scorer", sorted(PINNED_POWER_SHA256))
+def test_power_iteration_bits_pinned(name, scorer):
+    # BA has no isolated node; this ER graph has 45, the dangling mass
+    graph = (generate_ba(1000, 3, random.Random(1)) if name == "ba"
+             else generate_er(1000, 0.003, random.Random(2)))
+    res = getattr(ranking, scorer)(graph)
+    assert res.converged
+    text = "\n".join([str(res.iterations), *map(float.hex, res.scores)])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_POWER_SHA256[name, scorer]
 
 
 def dense_adj(g):
