@@ -60,7 +60,7 @@ def cmd_rank(args) -> int:
     method = RankingMethod.from_string(args.method)
     ranking = rank(g, method, random.Random(_seed_from(args)))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_ranking_csv(g, ranking, fh)
     else:
         write_ranking_csv(g, ranking, sys.stdout)
@@ -116,22 +116,22 @@ def cmd_grid(args) -> int:
     records = run_grid(spec, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "records.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         write_records_csv(records, fh)
     print(f"{len(records)} run records -> {path}")
     return 0
 
 
 def cmd_summarize(args) -> int:
-    with open(args.records, encoding="utf-8") as fh:
+    with open(args.records, encoding="utf-8", newline="") as fh:
         records = read_records_csv(fh)
     summary = summarize(records)
     os.makedirs(args.out_dir, exist_ok=True)
     summary_path = os.path.join(args.out_dir, "summary.csv")
     scatter_path = os.path.join(args.out_dir, "ratio_scatter.csv")
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         write_summary_csv(summary, fh)
-    with open(scatter_path, "w", encoding="utf-8") as fh:
+    with open(scatter_path, "w", encoding="utf-8", newline="") as fh:
         write_scatter_csv(summary, fh)
     print(f"summary -> {summary_path}")
     print(f"ratio scatter -> {scatter_path}")

@@ -124,8 +124,9 @@ def advance(state: DiffusionState, live: World, steps: int,
     frontier takes no step and leaves the step count as it is.
 
     Seeds attempt their neighbors in the step after their injection; the
-    state may keep the `seeds` list as its frontier. A seed that is already
-    active is rejected and the state left as it was.
+    state may keep the `seeds` list as its frontier. A batch holding a seed
+    that is already active, or a node twice, is rejected and the state left
+    as it was.
     """
     flags = state.flags
     frontier = state.frontier
@@ -135,10 +136,13 @@ def advance(state: DiffusionState, live: World, steps: int,
     cumulative = state.cumulative
     injected = state.injected
     if seeds:
-        for s in seeds:
+        for i, s in enumerate(seeds):
             if flags[s]:
+                for t in seeds[:i]:  # only this batch set them
+                    flags[t] = 0
+                if s in seeds[:i]:
+                    raise ValueError(f"seeds repeat a node: {seeds}")
                 raise ValueError(f"seed {s} is already active")
-        for s in seeds:
             flags[s] = 1
         count += len(seeds)
         state.seeds.extend(seeds)
@@ -173,12 +177,8 @@ def advance(state: DiffusionState, live: World, steps: int,
 
 
 def activate_seeds(state: DiffusionState, seeds: Sequence[int]) -> DiffusionState:
-    """Inject seeds at the current step; they attempt neighbors next step.
-    A batch that repeats a node is rejected."""
-    seeds = list(seeds)
-    if len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds repeat a node: {seeds}")
-    return advance(state, (), 0, seeds)
+    """Inject seeds at the current step; they attempt neighbors next step."""
+    return advance(state, (), 0, list(seeds))
 
 
 def run_until_stop(state: DiffusionState, graph: Graph, pp: float, rng) -> DiffusionState:

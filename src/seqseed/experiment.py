@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .diffusion import DiffusionState, World, sample_world
 from .graphs import Graph, ParameterError
-from .ranking import Ranking, RankingMethod, rank, score_order
+from .ranking import Ranking, RankingMethod, rank
 from .stats import hodges_lehmann, wilcoxon_signed_rank
 from .strategies import StrategySpec, run_on_worlds, seed_count
 
@@ -67,6 +67,12 @@ class GridSpec:
             if float(f"{x:g}") != x:
                 raise ParameterError(
                     f"pp or sp {x!r} is not exact in 6 significant digits")
+        # the records CSV writes a graph name as it is, and the csv module
+        # leaves a field holding \r unquoted, so it would not read back
+        for name, _ in self.graphs:
+            if "\r" in name:
+                raise ParameterError(
+                    f"graph name {name!r} holds a carriage return")
         for field, values in (  # named as in the JSON config
                 ("graphs", [name for name, _ in self.graphs]),
                 ("pp", self.pp_values), ("sp", self.sp_values),
@@ -133,17 +139,6 @@ def sample_worlds(spec: GridSpec, graph_name: str, graph: Graph,
             for r in range(spec.replications)]
 
 
-def _grid_ranking(spec: GridSpec, graph_name: str, graph: Graph,
-                 method: RankingMethod) -> Ranking:
-    """The grid's one ranking of `graph` by `method`, which every sp and pp
-    seeds from, so each budget's seeds are a prefix of one order. Its ties,
-    or for RANDOM its whole order, come from the stream (master seed, graph
-    name, method, "ranking")."""
-    rng = derive_rng(spec.master_seed, graph_name, method.value, "ranking")
-    return rank(graph, method, rng, scores=None if method is RankingMethod.RANDOM
-                else score_order(graph, method))
-
-
 class GridError(RuntimeError):
     """A configuration failed while the grid ran; the message names its id."""
 
@@ -170,14 +165,14 @@ def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
     ends. A state may go on once the next is asked for: read it first.
 
     Per ranking (taken from `rankings`, keyed by (graph name, method), or
-    made by `_grid_ranking` and added to it): each config's SN block runs
-    first and fixes its t_sn and mean coverage; the other strategies follow
-    in spec order. SQ_kPS and SQ_kPS_R run once per world for all the
-    ranking's configs, at the largest budget, with each config's budget a
-    checkpoint of that run; the other kinds run per config. A failure
-    raises GridError naming the config whose work raised or, for work that
-    configs share (worlds, a ranking, a checkpointed run), the first config
-    that shares it.
+    ranked from the stream (master seed, graph name, method, "ranking") and
+    added to it): each config's SN block runs first and fixes its t_sn and
+    mean coverage; the other strategies follow in spec order. SQ_kPS and
+    SQ_kPS_R run once per world for all the ranking's configs, at the
+    largest budget, with each config's budget a checkpoint of that run; the
+    other kinds run per config. A failure raises GridError naming the config
+    whose work raised or, for work that configs share (worlds, a ranking, a
+    checkpointed run), the first config that shares it.
     """
     where = config_id(graph_name, pp, spec.sp_values[0], spec.rankings[0])
     try:
@@ -189,7 +184,8 @@ def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
             where = configs[0].cid
             key = (graph_name, method)
             if key not in rankings:
-                rankings[key] = _grid_ranking(spec, graph_name, graph, method)
+                rankings[key] = rank(graph, method, derive_rng(
+                    spec.master_seed, graph_name, method.value, "ranking"))
             ranking = rankings[key]
             for cfg in configs:
                 where = cfg.cid

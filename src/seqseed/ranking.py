@@ -2,10 +2,10 @@
 
 Rankings are computed once on the initial network; sequential strategies pick
 from them dynamically, taking the best nodes still inactive at each stage.
-A method's score order depends only on the graph (`score_order`), and a grid
-ranks each (graph, method) once, from one rng stream that only breaks ties;
-a ranking without tied scores draws nothing from it. RANDOM shuffles all
-nodes from its stream, so a grid has one random order per graph.
+A grid ranks each (graph, method) once, from one rng stream that only
+breaks score ties; a ranking without tied scores draws nothing from it.
+RANDOM shuffles all nodes from its stream, so a grid has one random order
+per graph.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from operator import mul, ne, sub, truediv
-from typing import List, Optional, Tuple, Union
+from operator import mul, sub, truediv
+from typing import List, Optional
 
 from .graphs import Graph
 
@@ -145,48 +145,27 @@ def method_scores(graph: Graph, method: RankingMethod) -> List[float]:
     return result.scores
 
 
-def shuffle(x: list, rng) -> None:
-    """Shuffle `x` in place exactly as `random.Random.shuffle` does.
+def rank(graph: Graph, method: RankingMethod, rng,
+         scores: Optional[List[float]] = None) -> Ranking:
+    """Rank all nodes by `method`, breaking score ties uniformly at random.
 
-    Fisher-Yates from the end, drawing each index below i + 1 by rejection
-    with `rng.getrandbits(k)`, k the bit length of i + 1: the calls CPython's
-    `Random.shuffle` makes (3.10 to 3.13), so the permutation and the rng's
-    state after it are the same. Walking i one bit length at a time keeps k
-    out of the inner loop, which makes it about twice as fast as
-    `Random.shuffle`.
-    """
-    getrandbits = rng.getrandbits
-    top = len(x) - 1
-    k = len(x).bit_length()
-    while top > 0:
-        low = max(1, (1 << (k - 1)) - 1)  # the least i with k bits in i + 1
-        for i in range(top, low - 1, -1):
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            x[i], x[j] = x[j], x[i]
-        top = low - 1
-        k -= 1
-
-
-@dataclass(frozen=True)
-class ScoreOrder:
-    """A method's scores, the nodes by score descending (ties by node id),
-    and the `(start, stop)` spans of `order` whose scores tie."""
-    scores: List[float]
-    order: List[int]
-    ties: List[Tuple[int, int]]
-
-
-def score_order(graph: Graph, method: RankingMethod,
-                scores: Optional[List[float]] = None) -> ScoreOrder:
-    """The score order `rank` starts from, from `scores` or, when None, from
-    `method_scores`. It depends on the graph and the method only.
+    `scores` may carry precomputed method scores to skip recomputation; when
+    None they come from `method_scores`. Ties are broken by one shuffle of
+    all node ids drawn from `rng`, tied nodes taking the order of their
+    shuffled ids; a ranking whose scores all differ draws nothing. RANDOM is
+    one shuffle of the nodes.
 
     Raises ValueError naming the method when `scores` does not hold one
     value per node or holds a NaN, which has no place in a descending order.
     """
     n = graph.node_count
+    if method is RankingMethod.RANDOM:
+        order = list(range(n))
+        rng.shuffle(order)
+        score = [0.0] * n
+        for pos, v in enumerate(order):
+            score[v] = float(n - pos)
+        return Ranking(method, order, score)
     if scores is None:
         scores = method_scores(graph, method)
     if len(scores) != n:
@@ -194,42 +173,14 @@ def score_order(graph: Graph, method: RankingMethod,
                          f"{n} nodes")
     if any(map(math.isnan, scores)):
         raise ValueError(f"{method.value} scores hold a NaN")
-    order = sorted(range(n), key=scores.__getitem__, reverse=True)
-    ranked = [scores[v] for v in order]
-    # the positions that start a run of equal scores, then the end
-    edges = [0, *compress(range(1, n), map(ne, ranked, ranked[1:])), n]
-    return ScoreOrder(scores, order, [(start, stop) for start, stop
-                                      in zip(edges, edges[1:])
-                                      if stop - start > 1])
-
-
-def rank(graph: Graph, method: RankingMethod, rng,
-         scores: Union[List[float], ScoreOrder, None] = None) -> Ranking:
-    """Rank all nodes by `method`, breaking score ties uniformly at random.
-
-    `scores` may carry precomputed method scores, or their `ScoreOrder`, to
-    skip recomputation. Ties are broken by one shuffle of all node ids drawn
-    from `rng`, tied nodes taking the order of their shuffled ids; a ranking
-    whose scores all differ draws nothing. RANDOM is one shuffle of the nodes.
-    """
-    n = graph.node_count
-    if method is RankingMethod.RANDOM:
-        order = list(range(n))
-        shuffle(order, rng)
-        score = [0.0] * n
-        for pos, v in enumerate(order):
-            score[v] = float(n - pos)
-        return Ranking(method, order, score)
-    if not isinstance(scores, ScoreOrder):
-        scores = score_order(graph, method, scores)
-    order = list(scores.order)
-    if scores.ties:
+    order = list(range(n))
+    if len(set(scores)) < n:
         tiebreak = list(range(n))
-        shuffle(tiebreak, rng)
-        for start, stop in scores.ties:
-            order[start:stop] = sorted(order[start:stop],
-                                       key=tiebreak.__getitem__)
-    return Ranking(method, order, scores.scores)
+        rng.shuffle(tiebreak)
+        order.sort(key=tiebreak.__getitem__)
+    # a stable sort, reversed or not, keeps tied nodes in tie-break order
+    order.sort(key=scores.__getitem__, reverse=True)
+    return Ranking(method, order, scores)
 
 
 def write_ranking_csv(graph: Graph, ranking: Ranking, out) -> None:

@@ -329,6 +329,19 @@ class TestGridAndSummarize:
         assert "SQ_3PS_R" in err
         assert not (tmp_path / "out" / "records.csv").exists()
 
+    def test_carriage_return_in_graph_name_exits_nonzero(self, tmp_path,
+                                                         capsys):
+        # the csv module writes a field holding \r unquoted, so records of
+        # such a graph would not read back in `summarize`
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(dict(GRID_CONFIG, graphs=[
+            dict(GRID_CONFIG["graphs"][0], name="a\rb")])))
+        code, _, err = run_cli(["grid", "--config", str(cfg),
+                                "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert err == "error: graph name 'a\\rb' holds a carriage return\n"
+        assert not (tmp_path / "out" / "records.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_config_exits_nonzero(self, tmp_path, capsys, monkeypatch,
                                           jobs):

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from seqseed.diffusion import (DiffusionState, activate_seeds, advance,
-                               expected_coverage_exact, run_until_stop,
-                               sample_world)
+from seqseed.diffusion import (UNTIL_STOP, DiffusionState, activate_seeds,
+                               advance, expected_coverage_exact,
+                               run_until_stop, sample_world)
 from seqseed.graphs import (ParameterError, components, generate_ba,
                             generate_er, load_edge_list)
 
@@ -48,6 +48,19 @@ class TestActivateSeeds:
         activate_seeds(st, [2])
         assert st.seeds == [0, 2] and st.frontier == [0, 2]
         assert st.cumulative == [2] and st.injected == [2]
+
+
+class TestAdvanceSeeds:
+    def test_repeated_node_rejected_state_unchanged(self, path3):
+        # left in, a repeat would count one node twice: [2, 2] gave
+        # coverage 2 with one active flag
+        st = DiffusionState(path3)
+        live = [[1], [0, 2], [1]]
+        with pytest.raises(ValueError, match=r"seeds repeat a node: \[2, 2\]"):
+            advance(st, live, UNTIL_STOP, [2, 2])
+        with pytest.raises(ValueError, match=r"seeds repeat a node: \[0, 2, 0\]"):
+            advance(st, live, UNTIL_STOP, [0, 2, 0])
+        assert st == DiffusionState(path3)
 
 
 class TestSampleWorld:

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from seqseed import experiment, strategies as strategy_module
+from seqseed import experiment, ranking, strategies as strategy_module
 from seqseed.experiment import (GridError, GridSpec, RunRecord, config_id,
                                 derive_rng, read_records_csv, run_block,
                                 run_grid, summarize, write_records_csv,
@@ -208,16 +208,16 @@ class TestRunGridJobs:
 
 
     def test_one_score_order_per_graph_and_method(self, monkeypatch):
-        """A grid process builds each (graph, method) score order once, for
-        every pp and sp it ranks at, and none for the random ranking."""
+        """A grid process scores each (graph, method) once, for every pp and
+        sp it ranks at, and never for the random ranking."""
         calls = Counter()
-        real = experiment.score_order
+        real = ranking.method_scores
 
-        def score_order(graph, method, *args):
+        def method_scores(graph, method):
             calls[graph, method] += 1
-            return real(graph, method, *args)
+            return real(graph, method)
 
-        monkeypatch.setattr(experiment, "score_order", score_order)
+        monkeypatch.setattr(ranking, "method_scores", method_scores)
         spec = dataclasses.replace(pinned_grid(), rankings=[
             RankingMethod.RANDOM, RankingMethod.DEGREE, RankingMethod.PAGERANK])
         run_grid(spec, jobs=1)
