@@ -13,8 +13,8 @@ import sys
 
 from .config import ConfigError, load_grid_config_file
 from .diffusion import DiffusionState
-from .experiment import (GridError, GridSpec, read_records_csv, run_block,
-                         run_grid, summarize, write_records_csv,
+from .experiment import (GridError, GridSpec, derive_rng, read_records_csv,
+                         run_block, run_grid, summarize, write_records_csv,
                          write_scatter_csv, write_summary_csv)
 from .graphs import (GraphParseError, ParameterError, generate_ba, generate_er,
                      load_edge_list, serialize)
@@ -55,10 +55,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _graph_name(path: str) -> str:
+    """The name a grid gives the graph in `path`: the file's stem."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def cmd_rank(args) -> int:
+    """Rank as the grid does: ties drawn from the ranking stream of the graph
+    named after the file's stem."""
     g = _load_graph(args.graph)
     method = RankingMethod.from_string(args.method)
-    ranking = rank(g, method, random.Random(_seed_from(args)))
+    ranking = rank(g, method, derive_rng(_seed_from(args), _graph_name(
+        args.graph), method.value, "ranking"))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_ranking_csv(g, ranking, fh)
@@ -81,7 +89,7 @@ def cmd_simulate(args) -> int:
     g = _load_graph(args.graph)
     spec = StrategySpec.parse(args.strategy, k=args.k, t_sn=args.t_sn)
     method = RankingMethod.from_string(args.ranking)
-    name = os.path.splitext(os.path.basename(args.graph))[0]
+    name = _graph_name(args.graph)
     grid = GridSpec([(name, g)], [args.pp], [args.sp], [method], [spec],
                     args.runs, _seed_from(args))
     traces = []

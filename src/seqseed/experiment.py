@@ -11,10 +11,11 @@ tie-breaks, and nothing when no scores tie. Every sp and pp seeds from it,
 so each budget's seeds are a prefix of one order.
 
 The unit of work is a (graph, pp) block: every sp x ranking configuration
-that shares its worlds. Per configuration the SN block runs first; its
-rounded mean duration parameterizes the TSN strategies. SQ_kPS and
-SQ_kPS_R run once per (ranking, world) at the block's largest budget, and
-each smaller budget's run is finished from a checkpoint of that run.
+that shares its worlds. Per ranking the SN runs go first; each config's SN
+rounded mean duration parameterizes its TSN strategies. Every kind but TSN,
+SN among them, runs once per (ranking, world) at the block's largest
+budget, and each smaller budget's run is finished from a checkpoint of that
+run; TSN kinds run per configuration.
 """
 from __future__ import annotations
 
@@ -166,12 +167,12 @@ def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
 
     Per ranking (taken from `rankings`, keyed by (graph name, method), or
     ranked from the stream (master seed, graph name, method, "ranking") and
-    added to it): each config's SN block runs first and fixes its t_sn and
-    mean coverage; the other strategies follow in spec order. SQ_kPS and
-    SQ_kPS_R run once per world for all the ranking's configs, at the
-    largest budget, with each config's budget a checkpoint of that run; the
-    other kinds run per config. A failure raises GridError naming the config
-    whose work raised or, for work that configs share (worlds, a ranking, a
+    added to it): SN runs first and fixes each config's t_sn and mean
+    coverage; the other strategies follow in spec order. Every kind but TSN
+    runs once per world for all the ranking's configs, at the largest
+    budget, with each config's budget a checkpoint of that run; TSN kinds
+    run per config. A failure raises GridError naming the config whose work
+    raised or, for work that configs share (worlds, a ranking, a
     checkpointed run), the first config that shares it.
     """
     where = config_id(graph_name, pp, spec.sp_values[0], spec.rankings[0])
@@ -187,30 +188,32 @@ def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
                 rankings[key] = rank(graph, method, derive_rng(
                     spec.master_seed, graph_name, method.value, "ranking"))
             ranking = rankings[key]
+            by_budget: Dict[int, List[BlockConfig]] = {}
             for cfg in configs:
-                where = cfg.cid
-                sn = [state for _, state in run_on_worlds(
-                    graph, ranking, _SN, [cfg.n], worlds)]
-                cfg.mean_c_sn = sum(t.coverage for t in sn) / len(sn)
+                by_budget.setdefault(cfg.n, []).append(cfg)
+            sn: Dict[int, List[DiffusionState]] = {n: [] for n in by_budget}
+            for n, state in run_on_worlds(graph, ranking, _SN, list(sn), worlds):
+                sn[n].append(state)
+            for cfg in configs:
+                runs = sn[cfg.n]
+                cfg.mean_c_sn = sum(t.coverage for t in runs) / len(runs)
                 cfg.t_sn = max(1, _round_half_up(
-                    sum(t.duration for t in sn) / len(sn)))
-                for r, state in enumerate(sn):
+                    sum(t.duration for t in runs) / len(runs)))
+                for r, state in enumerate(runs):
                     yield cfg, "SN", r, state
             for strat in spec.strategies:
-                if strat.kind == "SN":  # the baseline blocks above
+                if strat.kind == "SN":  # the baseline above
                     continue
                 label = strat.label  # built once: each record keeps it
-                for group in ([configs] if strat.shares_budgets
-                              else [[cfg] for cfg in configs]):
-                    where = group[0].cid
-                    by_budget: Dict[int, List[BlockConfig]] = {}
-                    for cfg in group:
-                        by_budget.setdefault(cfg.n, []).append(cfg)
-                    runs = run_on_worlds(graph, ranking, strat, list(by_budget),
-                                         worlds, group[0].t_sn)
+                for first, group in (
+                        [(configs[0], by_budget)] if strat.shares_budgets
+                        else [(cfg, {cfg.n: [cfg]}) for cfg in configs]):
+                    where = first.cid
+                    runs = run_on_worlds(graph, ranking, strat, list(group),
+                                         worlds, first.t_sn)
                     for i, (n, state) in enumerate(runs):
-                        for cfg in by_budget[n]:
-                            yield cfg, label, i // len(by_budget), state
+                        for cfg in group[n]:
+                            yield cfg, label, i // len(group), state
     except Exception as exc:
         raise GridError(f"config {where} failed: {exc}") from exc
 
@@ -305,11 +308,15 @@ class ComparisonSummary:
 
 def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
     """Pair every sequential strategy against its config's SN baseline.
-    A repeated (config_id, strategy, run_id), or a (config_id, strategy)
+    No records at all, a config lacking a strategy that another config has,
+    a repeated (config_id, strategy, run_id), or a (config_id, strategy)
     whose run ids differ from its SN block's, raises ValueError."""
     by_config: Dict[str, Dict[str, List[RunRecord]]] = {}
     for rec in records:
         by_config.setdefault(rec.config_id, {}).setdefault(rec.strategy, []).append(rec)
+    if not by_config:
+        raise ValueError("no records to summarize")
+    labels = {strategy for block in by_config.values() for strategy in block}
 
     per_config: List[ConfigStrategyRow] = []
     strat_diffs: Dict[str, List[float]] = {}
@@ -321,6 +328,10 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
         block = by_config[cid]
         if "SN" not in block:
             raise ValueError(f"missing SN baseline for config {cid}")
+        missing = labels.difference(block)
+        if missing:
+            raise ValueError(f"missing rows: config {cid} has no records of "
+                             f"strategy {', '.join(sorted(missing))}")
         sn = block["SN"]
         sn_ids = {r.run_id for r in sn}
         mean_c_sn = sum(r.coverage for r in sn) / len(sn)

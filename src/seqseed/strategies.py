@@ -10,10 +10,13 @@ containing SN's, since each of SN's top-n nodes is seeded by it or active
 when its cursor passes.
 
 Every kind runs in one stage loop, `_run_stages`, which ends each budget at
-a checkpoint: after some shared stages, inject a last batch and wait until
-diffusion stops. SQ_kPS and SQ_kPS_R cut every budget into stages of k
-seeds, so one run at the largest budget passes every smaller budget's
-checkpoint; the other kinds have one budget and one checkpoint per run.
+a checkpoint: after some shared stages, spend what the budget has left and
+wait until diffusion stops. SN has no shared stages, and the SQ_kPS kinds
+cut every budget into stages of k, so one run at the largest budget passes
+every smaller budget's checkpoint. TSN stage sizes depend on the budget, so
+those kinds run one budget at a time. Buffering (`_B`) is the one extra
+rule: a stage injects the inactive nodes among its positions of the order,
+and the checkpoint spends the budget they banked.
 """
 from __future__ import annotations
 
@@ -53,10 +56,10 @@ class StrategySpec:
 
     @property
     def shares_budgets(self) -> bool:
-        """SQ_kPS and SQ_kPS_R cut every budget into stages of k seeds, so a
-        run at a smaller budget follows a larger one's run up to its last
-        stage: one run serves every budget."""
-        return self.kind in ("SQ_kPS", "SQ_kPS_R")
+        """Every kind but TSN has stage sizes that do not depend on the
+        budget, so a run at a smaller budget follows a larger one's run up
+        to its last stage: one run serves every budget."""
+        return not self.kind.startswith("SQ_TSN")
 
     @property
     def label(self) -> str:
@@ -94,39 +97,38 @@ def _check_budget(graph: Graph, n: int) -> None:
 
 
 def _plan(spec: StrategySpec, budgets: List[int],
-          t_sn: Optional[int]) -> Tuple[List[int], List[Tuple[int, int, int]]]:
-    """The stages a run takes for every budget in `budgets` (ascending), and
-    where each budget n leaves them: `(q, rest, n)` says that after q shared
-    stages, n's run injects `rest` more seeds and waits until diffusion
-    stops. Only kinds that share their budgets take more than one."""
-    if spec.kind.startswith("SQ_kPS"):
-        for n in budgets:
-            if not 1 <= spec.k <= n:
-                raise ParameterError(f"need 1 <= k <= n, got k={spec.k}, n={n}")
+          t_sn: Optional[int]) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """The shared stages a run takes for every budget in `budgets`
+    (ascending), and where each budget n leaves them: `(q, n)` says that
+    after q shared stages, n's run spends what its budget has left and waits
+    until diffusion stops. Only TSN kinds, whose stage sizes depend on n,
+    take one budget at a time."""
+    if spec.kind == "SN":
+        return [], [(0, n) for n in budgets]
     if spec.shares_budgets:
-        # n's run takes n // k stages of k seeds, then its remainder
         k = spec.k
-        return [k] * (budgets[-1] // k), [(n // k, n % k, n) for n in budgets]
+        for n in budgets:
+            if not 1 <= k <= n:
+                raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+        # n's run takes stages of k seeds (or positions, for _B) while more
+        # than k remain, then its last one at its checkpoint
+        return ([k] * ((budgets[-1] - 1) // k),
+                [((n - 1) // k, n) for n in budgets])
     if len(budgets) != 1:
         raise ParameterError(f"{spec.kind} runs one budget at a time, "
                              f"got {budgets}")
     (n,) = budgets
-    if spec.kind == "SN":
-        sizes = [n]
-    elif spec.kind == "SQ_kPS_B":
-        sizes = [spec.k] * (n // spec.k) + ([n % spec.k] if n % spec.k else [])
-    else:
-        ref = spec.t_sn if spec.t_sn is not None else t_sn
-        if ref is None:
-            raise ParameterError(f"{spec.kind} needs a reference t_sn")
-        if ref < 1:
-            raise ParameterError("t_sn must be >= 1")
-        # fewer seeds than stages: one seed per stage, as SQ_1PS; remainder
-        # seeds go to the earliest stages
-        stages = min(n, ref)
-        base, rem = divmod(n, stages)
-        sizes = [base + 1] * rem + [base] * (stages - rem)
-    return sizes[:-1], [(len(sizes) - 1, sizes[-1], n)]
+    ref = spec.t_sn if spec.t_sn is not None else t_sn
+    if ref is None:
+        raise ParameterError(f"{spec.kind} needs a reference t_sn")
+    if ref < 1:
+        raise ParameterError("t_sn must be >= 1")
+    # fewer seeds than stages: one seed per stage, as SQ_1PS; remainder
+    # seeds go to the earliest stages
+    stages = min(n, ref)
+    base, rem = divmod(n, stages)
+    sizes = [base + 1] * rem + [base] * (stages - rem)
+    return sizes[:-1], [(stages - 1, n)]
 
 
 def _take(order: List[int], flags: bytearray, cursor: int,
@@ -145,19 +147,21 @@ def _take(order: List[int], flags: bytearray, cursor: int,
 
 
 def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
-                until_stop: bool, live: World, ends: List[Tuple[int, int, int]]
+                until_stop: bool, buffered: bool, live: World,
+                ends: List[Tuple[int, int]]
                 ) -> Iterator[Tuple[int, DiffusionState]]:
-    """The stage loop. Inject each stage's best inactive nodes, then wait one
-    step or until diffusion stops; one kernel call per stage. At each
-    budget's checkpoint `(q, rest, n)` from `_plan`, finish n's run: inject
-    `rest` more of the best inactive nodes, wait until diffusion stops, and
-    yield `(n, final state)`.
+    """The stage loop. Inject each stage's batch, then wait one step or until
+    diffusion stops; one kernel call per stage. A batch is the best inactive
+    nodes of the order or, `buffered`, the inactive nodes among the stage's
+    positions of the order, banking the rest. At each budget's checkpoint
+    `(q, n)` from `_plan`, finish n's run: when buffered, inject the
+    inactive nodes among its positions up to n and wait until diffusion
+    stops; then spend what the budget has left on the best inactive nodes,
+    wait until diffusion stops, and yield `(n, final state)`.
 
-    The last budget finishes on `state` itself, as does one whose run has
-    stopped with nothing left to inject; any other finishes on a copy, so
-    the loop goes on from its checkpoint. A short batch means every node is
-    active: it waits until diffusion stops and ends every budget not yet
-    ended. A budget forfeits what it could not place.
+    The last budget finishes on `state` itself and any other on a copy, so
+    the loop goes on from its checkpoint. Once every node is active, the
+    later batches are empty; a budget forfeits what it could not place.
     """
     order = ranking.order
     flags = state.flags
@@ -166,41 +170,25 @@ def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
     e = 0
     for q in range(len(sizes) + 1):
         while e < len(ends) and ends[e][0] == q:
-            _, rest, n = ends[e]
+            n = ends[e][1]
             e += 1
-            final = state
-            if e < len(ends) and (rest or state.frontier):
-                final = state.copy()
-            batch, _ = _take(order, final.flags, cursor, rest)
+            final = state.copy() if e < len(ends) else state
+            if buffered:
+                advance(final, live, UNTIL_STOP,
+                        [v for v in order[cursor:n] if not final.flags[v]])
+            batch, _ = _take(order, final.flags, cursor, n - len(final.seeds))
             advance(final, live, UNTIL_STOP, batch)
             final.forfeited = n - len(final.seeds)
             yield n, final
         if e == len(ends):
             return
-        batch, cursor = _take(order, flags, cursor, sizes[q])
-        if len(batch) < sizes[q]:
-            advance(state, live, UNTIL_STOP, batch)
-            for _, _, n in ends[e:]:
-                state.forfeited = n - len(state.seeds)
-                yield n, state
-            return
+        if buffered:
+            end = cursor + sizes[q]
+            batch = [v for v in order[cursor:end] if not flags[v]]
+            cursor = end
+        else:
+            batch, cursor = _take(order, flags, cursor, sizes[q])
         advance(state, live, wait, batch)
-
-
-def _run_buffered(ranking: Ranking, state: DiffusionState, sizes: List[int],
-                  n: int, live: World) -> Iterator[Tuple[int, DiffusionState]]:
-    """Walk the initial top-n list one stage per step, banking every entry
-    that diffusion already activated; spend the bank on the best inactive
-    nodes once diffusion stops."""
-    schedule = ranking.order[:n]
-    flags = state.flags
-    start = 0
-    for size in sizes:
-        batch = [v for v in schedule[start:start + size] if not flags[v]]
-        start += size
-        advance(state, live, 1 if start < n else UNTIL_STOP, batch)
-    return _run_stages(ranking, state, [], True, live,
-                       [(0, n - len(state.seeds), n)])
 
 
 def run_on_worlds(graph: Graph, ranking: Ranking, spec: StrategySpec,
@@ -214,25 +202,21 @@ def run_on_worlds(graph: Graph, ranking: Ranking, spec: StrategySpec,
     once, when the first state is asked for.
 
     Every kind is a list of stage sizes plus a wait mode: one diffusion step
-    per stage, or (`_R`) until diffusion stops. `_B` adds buffering. SQ_kPS
-    and SQ_kPS_R take any number of budgets and run once per world, at the
-    largest, each smaller budget a checkpoint of that run; the other kinds
-    take one. A yielded state may be the run's own, which goes on when the
-    next is asked for: read it before asking.
+    per stage, or (`_R`) until diffusion stops. `_B` adds buffering. Every
+    kind but SQ_TSN and SQ_TSN_R takes any number of budgets and runs once
+    per world, each budget a checkpoint of that run; TSN kinds take one. A
+    yielded state may be the run's own, which goes on when the next is asked
+    for: read it before asking.
     """
     budgets = sorted(set(budgets))
     for n in budgets:
         _check_budget(graph, n)
     sizes, ends = _plan(spec, budgets, t_sn)
     until_stop = spec.kind.endswith("_R")
+    buffered = spec.kind == "SQ_kPS_B"
     for live in worlds:
-        state = DiffusionState(graph)
-        if spec.kind == "SQ_kPS_B":
-            (_, rest, n), = ends
-            yield from _run_buffered(ranking, state, sizes + [rest], n, live)
-        else:
-            yield from _run_stages(ranking, state, sizes, until_stop, live,
-                                   ends)
+        yield from _run_stages(ranking, DiffusionState(graph), sizes,
+                               until_stop, buffered, live, ends)
 
 
 def run_strategy(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,

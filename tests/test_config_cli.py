@@ -7,8 +7,9 @@ import pytest
 from seqseed import experiment
 from seqseed.cli import main
 from seqseed.config import ConfigError, load_grid_config
-from seqseed.experiment import run_grid
+from seqseed.experiment import RECORD_COLUMNS, derive_rng, run_grid
 from seqseed.graphs import ParameterError, load_edge_list
+from seqseed.ranking import RankingMethod, rank
 
 
 def run_cli(argv, capsys):
@@ -129,6 +130,25 @@ class TestRank:
         lines = out.read_text().splitlines()
         assert lines[0] == "node_label,method,score,rank_position"
         assert lines[1].startswith("0,degree,3,0")
+
+    def test_rank_order_is_the_grid_ranking(self, tmp_path, capsys):
+        """`rank` draws its ties from the grid's ranking stream for the
+        graph named after the file's stem, so it writes the order that
+        `simulate` and `grid` seed from."""
+        gpath = tmp_path / "g.txt"  # the graph of test_simulate_bytes_pinned
+        run_cli(["gen", "ba", "--n", "60", "--m", "2", "--seed", "3",
+                 "--out", str(gpath)], capsys)
+        out = tmp_path / "r.csv"
+        code, _, _ = run_cli(["rank", "--graph", str(gpath), "--method",
+                              "degree", "--seed", "9", "--out", str(out)],
+                             capsys)
+        assert code == 0
+        g = load_edge_list(gpath.read_text())
+        want = rank(g, RankingMethod.DEGREE,
+                    derive_rng(9, "g", "degree", "ranking"))
+        got = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert got == [g.labels[v] for v in want.order]
+        assert got[:10] == ["2", "1", "6", "8", "0", "5", "14", "26", "7", "9"]
 
 
 class TestSimulate:
@@ -289,6 +309,15 @@ class TestGridAndSummarize:
         assert code == 1
         assert ("unpaired runs: config ba|pp=0.1|sp=0.05|degree, strategy "
                 "SQ_1PS_R: runs [1] not in both it and SN") in err
+        assert not (tmp_path / "sum" / "summary.csv").exists()
+
+    def test_summarize_no_records_exits_nonzero(self, tmp_path, capsys):
+        empty = tmp_path / "records.csv"
+        empty.write_text(RECORD_COLUMNS + "\n")
+        code, _, err = run_cli(["summarize", "--records", str(empty),
+                                "--out-dir", str(tmp_path / "sum")], capsys)
+        assert code == 1
+        assert "no records to summarize" in err
         assert not (tmp_path / "sum" / "summary.csv").exists()
 
     def test_summarize_bad_number_exits_nonzero(self, tmp_path, capsys):

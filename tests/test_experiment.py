@@ -159,9 +159,10 @@ class TestRunGridJobs:
         assert len(set(calls)) == len(calls)
 
     def test_one_plan_per_config_and_strategy(self, monkeypatch):
-        """Each (config, strategy) checks its budget and plans its stages
-        once for all its worlds, whatever the replication count; SQ_kPS and
-        SQ_kPS_R plan once per (graph, pp, ranking), for all its budgets."""
+        """Each strategy checks its budgets and plans its stages once for
+        all its worlds, whatever the replication count: TSN kinds once per
+        config, every other kind, SN among them, once per (graph, pp,
+        ranking) for all its budgets."""
         calls = []
         real = strategy_module._plan
 
@@ -346,7 +347,7 @@ def oracle_grids():
     g200 = generate_ba(200, 2, random.Random(9))
     kinds = [StrategySpec.parse(s) for s in (
         "SN", "SQ_1PS", "SQ_1PS_R", "SQ_2PS", "SQ_2PS_R", "SQ_3PS",
-        "SQ_3PS_R", "SQ_TSN")]
+        "SQ_3PS_R", "SQ_TSN", "SQ_3PS_B")]
     return {
         "pinned": pinned_grid(),
         # sp out of order; k = 3 divides neither n = 2 (k = 1, 2) nor 6, 15
@@ -360,9 +361,11 @@ def oracle_grids():
         "same-budget": GridSpec(
             [("ba200", g200)], [0.1, 1.0], [0.05, 0.012, 0.01, 0.03],
             [RankingMethod.PAGERANK, RankingMethod.RANDOM],
-            kinds[:3] + [StrategySpec.parse("SQ_2PS_R")],
+            kinds[:3] + [StrategySpec.parse(s) for s in (
+                "SQ_2PS_R", "SQ_1PS_B", "SQ_2PS_B")],
             replications=3, master_seed=77),
-        # k = 3 with n = 3, 5, 10: k divides one budget of three
+        # k = 3 with n = 3, 5, 10: k divides one budget of three, and
+        # SQ_3PS_B's last positions are 1, 2 or 3 of the order
         "k-not-dividing": GridSpec(
             [("ba30", generate_ba(30, 2, random.Random(7)))], [0.2, 0.6],
             [0.1, 0.17, 0.33], [RankingMethod.DEGREE2],
@@ -373,9 +376,9 @@ def oracle_grids():
 
 @pytest.mark.parametrize("name", sorted(oracle_grids()))
 def test_checkpointed_records_equal_per_config_runs(name):
-    """Each SQ_kPS(_R) strategy runs once per (graph, pp, ranking, world)
-    with every budget a checkpoint; its records equal, byte for byte, those
-    of running every configuration on its own."""
+    """Each strategy but TSN, SN among them, runs once per (graph, pp,
+    ranking, world) with every budget a checkpoint; its records equal, byte
+    for byte, those of running every configuration on its own."""
     spec = oracle_grids()[name]
     assert (records_sha256(run_grid(spec))
             == records_sha256(per_config_records(spec)))
@@ -383,8 +386,8 @@ def test_checkpointed_records_equal_per_config_runs(name):
 
 def test_saturating_grid_forfeits_at_every_budget():
     """At pp = 1 on a connected graph SQ_kPS_R's first stage activates every
-    node, so its second stage is short and ends every budget at once, each
-    forfeiting all but k seeds."""
+    node, so every later stage and checkpoint takes an empty batch, and each
+    budget forfeits all but k seeds."""
     spec = dataclasses.replace(oracle_grids()["same-budget"], pp_values=[1.0])
     graph = dict(spec.graphs)["ba200"]
     k = {"SQ_1PS_R": 1, "SQ_2PS_R": 2}
@@ -405,6 +408,27 @@ class TestSummarize:
         records = [make_record("c1", "SQ_1PS", 0, 10)]
         with pytest.raises(ValueError, match="c1"):
             summarize(records)
+
+    def test_no_records_raises(self):
+        with pytest.raises(ValueError, match="no records"):
+            summarize([])
+
+    def test_missing_strategy_raises(self):
+        """Dropping one config's SQ_1PS_R rows would summarize SQ_1PS_R over
+        the other config alone; the summary names the gap instead."""
+        spec = dataclasses.replace(
+            small_spec([StrategySpec.parse("SQ_1PS_R")], replications=10),
+            sp_values=[0.05, 0.1])
+        records = run_grid(spec)
+        summarize(records)
+        cid = config_id("ba60", 0.2, 0.1, RankingMethod.DEGREE)
+        kept = [r for r in records
+                if not (r.config_id == cid and r.strategy == "SQ_1PS_R")]
+        assert len(kept) == len(records) - 10
+        with pytest.raises(ValueError, match=re.escape(
+                f"missing rows: config {cid} has no records of strategy "
+                "SQ_1PS_R")):
+            summarize(kept)
 
     def test_identical_to_sn_all_ties(self):
         records = []

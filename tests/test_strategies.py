@@ -438,15 +438,16 @@ def budget_cases(draw):
 
 
 class TestCheckpoints:
-    """SQ_kPS and SQ_kPS_R run once at the largest budget; each smaller
+    """Every kind but TSN runs once at the largest budget; each smaller
     budget's final state is finished from a checkpoint of that run."""
 
     @settings(max_examples=300, deadline=None)
     @given(budget_cases())
     def test_checkpoints_equal_per_budget_runs(self, case):
         g, live, r, budgets, k = case
-        for kind in ("SQ_kPS", "SQ_kPS_R"):
-            spec = StrategySpec(kind, k=k)
+        for spec in (StrategySpec("SN"), StrategySpec("SQ_kPS", k=k),
+                     StrategySpec("SQ_kPS_R", k=k),
+                     StrategySpec("SQ_kPS_B", k=k)):
             # a yielded state may go on, so keep a copy of each
             got = [(n, state.copy()) for n, state
                    in run_on_worlds(g, r, spec, budgets, [live])]
@@ -456,9 +457,10 @@ class TestCheckpoints:
                 assert state == want, (spec.label, n)
 
     def test_one_budget_kinds_reject_several(self):
+        """TSN stage sizes depend on the budget, so no run serves two."""
         g = generate_ba(30, 2, random.Random(1))
         live = sample_world(g, 0.2, random.Random(0))
-        for spec in (StrategySpec("SN"), StrategySpec("SQ_kPS_B", k=1),
-                     StrategySpec("SQ_TSN", t_sn=2)):
+        for spec in (StrategySpec("SQ_TSN", t_sn=2),
+                     StrategySpec("SQ_TSN_R", t_sn=2)):
             with pytest.raises(ParameterError, match="one budget at a time"):
                 list(run_on_worlds(g, degree_ranking(g), spec, [3, 6], [live]))
