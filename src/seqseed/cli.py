@@ -41,14 +41,13 @@ def _seed_from(args) -> int:
 
 def cmd_gen(args) -> int:
     rng = random.Random(_seed_from(args))
-    if args.kind == "ba":
-        if args.m is None:
-            raise ParameterError("ba generator requires --m")
-        g = generate_ba(args.n, args.m, rng)
-    else:
-        if args.p is None:
-            raise ParameterError("er generator requires --p")
-        g = generate_er(args.n, args.p, rng)
+    own, other = ("m", "p") if args.kind == "ba" else ("p", "m")
+    if getattr(args, own) is None:
+        raise ParameterError(f"{args.kind} generator requires --{own}")
+    if getattr(args, other) is not None:
+        raise ParameterError(f"{args.kind} generator takes no --{other}")
+    generate = generate_ba if args.kind == "ba" else generate_er
+    g = generate(args.n, getattr(args, own), rng)
     with open(args.out, "w", encoding="utf-8") as fh:
         serialize(g, fh)
     print(f"{g.node_count} nodes, {g.edge_count} edges -> {args.out}")

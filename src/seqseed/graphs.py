@@ -18,6 +18,8 @@ class Graph:
     """Immutable undirected simple graph with dense node ids 0..n-1.
 
     Adjacency lists are kept sorted so traversal order is deterministic.
+    Each edge must be listed once, in either direction, between two distinct
+    ids in 0..n-1; anything else raises ValueError.
     `labels[i]` is the external label node i was loaded with (stringified id
     for generated graphs). `dropped_self_loops` / `dropped_duplicates` report
     how much cleanup the loader did.
@@ -27,19 +29,23 @@ class Graph:
                  labels: Optional[Sequence[str]] = None):
         if node_count < 1:
             raise ParameterError("graph needs at least one node")
+        message = f"Graph expects simple edges between ids 0..{node_count - 1}"
         adjacency: List[List[int]] = [[] for _ in range(node_count)]
-        seen = set()
-        for u, v in edges:
-            if u == v or (u, v) in seen or (v, u) in seen:
-                raise ValueError("Graph constructor expects clean simple edges")
-            seen.add((u, v))
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+        try:
+            for u, v in edges:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+        except IndexError:
+            raise ValueError(message) from None
         for lst in adjacency:
             lst.sort()
+            # a negative id shows as a negative neighbour, a self-loop or a
+            # repeated edge as one neighbour twice
+            if lst and (lst[0] < 0 or len(set(lst)) < len(lst)):
+                raise ValueError(message)
         self.node_count = node_count
         self.adjacency = adjacency
-        self.edge_count = len(seen)
+        self.edge_count = sum(map(len, adjacency)) // 2
         self.labels = list(labels) if labels is not None else [str(i) for i in range(node_count)]
         self.dropped_self_loops = 0
         self.dropped_duplicates = 0

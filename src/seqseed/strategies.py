@@ -70,18 +70,18 @@ class StrategySpec:
     @classmethod
     def parse(cls, name: str, k: Optional[int] = None,
               t_sn: Optional[int] = None) -> "StrategySpec":
-        """Accepts canonical kinds (SQ_kPS + k=2) and inline labels (SQ_2PS)."""
-        name = name.strip()
-        m = re.fullmatch(r"SQ_(\d+)PS(_R|_B)?", name)
+        """A spec from a kind (SQ_kPS with k=2) or an inline label (SQ_2PS,
+        kind SQ_kPS with k=2; an explicit k must then equal the label's).
+        The constructor decides which parameters the kind takes: k for the
+        SQ_kPS kinds, t_sn for the SQ_TSN kinds, neither for SN."""
+        kind = name.strip()
+        m = re.fullmatch(r"SQ_(\d+)PS(_R|_B)?", kind)
         if m:
-            return cls("SQ_kPS" + (m.group(2) or ""), k=int(m.group(1)))
-        if name in ("SQ_kPS", "SQ_kPS_R", "SQ_kPS_B"):
-            return cls(name, k=k)
-        if name in ("SQ_TSN", "SQ_TSN_R"):
-            return cls(name, t_sn=t_sn)
-        if name == "SN":
-            return cls(name)
-        raise ParameterError(f"unknown strategy: {name!r}")
+            kind = "SQ_kPS" + (m[2] or "")
+            if k not in (None, int(m[1])):
+                raise ParameterError(f"{m[0]} has k={m[1]}, got k={k}")
+            k = int(m[1]) if k is None else k
+        return cls(kind, k=k, t_sn=t_sn)
 
 
 def seed_count(graph: Graph, sp: float) -> int:

@@ -55,6 +55,18 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=r"strategies\[1\]"):
             load_grid_config(bad)
 
+    @pytest.mark.parametrize("strategy, message", [
+        ({"kind": "SN", "k": 3}, "SN takes no k parameter"),
+        ({"kind": "SQ_2PS", "k": 5}, "SQ_2PS has k=2, got k=5"),
+        ({"kind": "SQ_TSN", "k": 2}, "SQ_TSN takes no k parameter"),
+    ], ids=["SN-k", "label-k-differs", "TSN-k"])
+    def test_parameter_the_kind_does_not_take_named_with_index(
+            self, strategy, message):
+        bad = dict(GRID_CONFIG, strategies=["SN", strategy])
+        with pytest.raises(ConfigError,
+                           match=rf"^strategies\[1\]: {message}$"):
+            load_grid_config(bad)
+
     @pytest.mark.parametrize("field, value, where", [
         ("pp", [True], r"config\.pp\[0\]: wrong type bool"),
         ("pp", [0.1, "0.1"], r"config\.pp\[1\]: wrong type str"),
@@ -118,6 +130,21 @@ class TestGen:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("params, message", [
+        (["ba", "--n", "30"], "ba generator requires --m"),
+        (["er", "--n", "30"], "er generator requires --p"),
+        (["ba", "--n", "30", "--m", "2", "--p", "0.5"],
+         "ba generator takes no --p"),
+        (["er", "--n", "30", "--p", "0.1", "--m", "4"],
+         "er generator takes no --m"),
+    ], ids=["ba-no-m", "er-no-p", "ba-with-p", "er-with-m"])
+    def test_generator_flags_checked(self, tmp_path, capsys, params, message):
+        out = tmp_path / "x.txt"
+        code, _, err = run_cli(["gen", *params, "--out", str(out)], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestRank:
     def test_rank_csv(self, tmp_path, capsys):
@@ -171,6 +198,23 @@ class TestSimulate:
              "--seed", "1", "--out-dir", str(tmp_path / "sim")], capsys)
         assert code == 0
         assert "derived t_sn" in out
+
+    @pytest.mark.parametrize("strategy, params, message", [
+        ("SN", ["--k", "2"], "SN takes no k parameter"),
+        ("SQ_2PS", ["--k", "5"], "SQ_2PS has k=2, got k=5"),
+        ("SQ_1PS_R", ["--t-sn", "3"], "SQ_kPS_R takes no t_sn parameter"),
+    ], ids=["SN-k", "label-k-differs", "kPS-t_sn"])
+    def test_parameter_the_kind_does_not_take_exits_1(
+            self, tmp_path, capsys, strategy, params, message):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("\n".join(f"{i} {i + 1}" for i in range(30)))
+        code, out, err = run_cli(
+            ["simulate", "--graph", str(gpath), "--strategy", strategy,
+             *params, "--ranking", "degree", "--sp", "0.1", "--pp", "0.3",
+             "--out-dir", str(tmp_path / "sim")], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("strategy", ["SN", "SQ_2PS_B", "SQ_TSN_R"])
     def test_reproduces_grid_records(self, tmp_path, capsys, strategy):

@@ -6,9 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqseed.graphs import (GraphParseError, ParameterError, components,
+from seqseed.graphs import (Graph, GraphParseError, ParameterError, components,
                             generate_ba, generate_er, load_edge_list, serialize,
                             skip_sample)
+
+
+class TestGraph:
+    def test_adjacency_sorted_and_edge_count(self):
+        g = Graph(4, [(2, 0), (0, 1), (3, 0)])
+        assert g.adjacency == [[1, 2, 3], [0], [0], [0]]
+        assert g.edge_count == 3
+        assert list(g.edges()) == [(0, 1), (0, 2), (0, 3)]
+
+    @pytest.mark.parametrize("edges", [
+        [(0, -1)], [(-3, 1)], [(0, 3)], [(3, 0)], [(1, 1)],
+        [(0, 1), (0, 1)], [(0, 1), (1, 0)],
+    ], ids=["negative", "negative-first", "above-n", "above-n-first",
+            "self-loop", "repeated", "reversed"])
+    def test_unclean_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"simple edges between ids 0\.\.2"):
+            Graph(3, edges)
 
 
 class TestLoadEdgeList:

@@ -73,6 +73,28 @@ class TestStrategySpec:
         with pytest.raises(ParameterError):
             StrategySpec("SN", k=2)
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("SN", {"k": 2}, "SN takes no k parameter"),
+        ("SN", {"t_sn": 3}, "SN takes no t_sn parameter"),
+        ("SQ_2PS", {"k": 5}, "SQ_2PS has k=2, got k=5"),
+        ("SQ_TSN", {"k": 2}, "SQ_TSN takes no k parameter"),
+        ("SQ_kPS", {"k": 2, "t_sn": 4}, "SQ_kPS takes no t_sn parameter"),
+        ("SQ_QPS", {}, "unknown strategy kind: 'SQ_QPS'"),
+    ], ids=["SN-k", "SN-t_sn", "label-k-differs", "TSN-k", "kPS-t_sn",
+            "unknown"])
+    def test_parse_rejects(self, name, params, message):
+        with pytest.raises(ParameterError, match=message):
+            StrategySpec.parse(name, **params)
+
+    @pytest.mark.parametrize("name, params, spec", [
+        ("SQ_2PS", {"k": 2}, StrategySpec("SQ_kPS", k=2)),
+        ("SQ_TSN", {"t_sn": 3}, StrategySpec("SQ_TSN", t_sn=3)),
+        ("SQ_kPS_R", {"k": 3}, StrategySpec("SQ_kPS_R", k=3)),
+        (" SN ", {}, StrategySpec("SN")),
+    ], ids=["label-same-k", "TSN-t_sn", "kPS_R-k", "SN"])
+    def test_parse_accepts(self, name, params, spec):
+        assert StrategySpec.parse(name, **params) == spec
+
 
 class TestRunSN:
     def test_pp_zero(self):
