@@ -1,12 +1,11 @@
 """Sequential seeding simulation lab for influence maximization."""
 
-from .graphs import Graph, GraphParseError, ParameterError, components, generate_ba, generate_er, load_edge_list, serialize
+from .graphs import Graph, GraphParseError, ParameterError, generate_ba, generate_er, load_edge_list, serialize
 from .ranking import Ranking, RankingMethod, eigenvector_scores, pagerank_scores, rank
-from .diffusion import (DiffusionState, activate_seeds, expected_coverage_exact,
-                        run_until_stop, sample_world)
+from .diffusion import DiffusionState, activate_seeds, run_until_stop, sample_world
 from .strategies import StrategySpec, run_on_worlds, run_strategy, seed_count
 from .experiment import (ComparisonSummary, GridSpec, RunRecord, derive_rng,
-                         run_grid, summarize)
+                         grid_ranking, run_grid, summarize)
 from .stats import hodges_lehmann, wilcoxon_signed_rank
 
 __version__ = "0.1.0"

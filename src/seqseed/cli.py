@@ -13,12 +13,12 @@ import sys
 
 from .config import ConfigError, load_grid_config_file
 from .diffusion import DiffusionState
-from .experiment import (GridError, GridSpec, derive_rng, read_records_csv,
+from .experiment import (GridError, GridSpec, grid_ranking, read_records_csv,
                          run_block, run_grid, summarize, write_records_csv,
                          write_scatter_csv, write_summary_csv)
 from .graphs import (GraphParseError, ParameterError, generate_ba, generate_er,
                      load_edge_list, serialize)
-from .ranking import RankingMethod, rank, write_ranking_csv
+from .ranking import RankingMethod, write_ranking_csv
 from .strategies import StrategySpec
 
 DEFAULT_SEED = 1729
@@ -60,12 +60,11 @@ def _graph_name(path: str) -> str:
 
 
 def cmd_rank(args) -> int:
-    """Rank as the grid does: ties drawn from the ranking stream of the graph
-    named after the file's stem."""
+    """Rank as the grid does: the grid's ranking of the graph named after
+    the file's stem."""
     g = _load_graph(args.graph)
     method = RankingMethod.from_string(args.method)
-    ranking = rank(g, method, derive_rng(_seed_from(args), _graph_name(
-        args.graph), method.value, "ranking"))
+    ranking = grid_ranking(_seed_from(args), _graph_name(args.graph), g, method)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_ranking_csv(g, ranking, fh)
@@ -83,16 +82,18 @@ def _trace_csv(trace: DiffusionState, out) -> None:
 
 
 def cmd_simulate(args) -> int:
-    """Run one configuration as a one-config grid block, so its runs are the
-    grid's records for the graph named after the file's stem."""
+    """Run one configuration as a one-config grid block, on the grid's
+    ranking, so its runs are the grid's records for the graph named after
+    the file's stem."""
     g = _load_graph(args.graph)
     spec = StrategySpec.parse(args.strategy, k=args.k, t_sn=args.t_sn)
     method = RankingMethod.from_string(args.ranking)
     name = _graph_name(args.graph)
     grid = GridSpec([(name, g)], [args.pp], [args.sp], [method], [spec],
                     args.runs, _seed_from(args))
+    rankings = {(name, method): grid_ranking(grid.master_seed, name, g, method)}
     traces = []
-    for cfg, label, _, state in run_block(grid, name, g, args.pp, {}):
+    for cfg, label, _, state in run_block(grid, name, g, args.pp, rankings):
         if label == spec.label:
             traces.append(state)
     if spec.kind.startswith("SQ_TSN") and spec.t_sn is None:

@@ -186,48 +186,3 @@ def run_until_stop(state: DiffusionState, graph: Graph, pp: float, rng) -> Diffu
     terminates within N steps."""
     return advance(state, sample_world(graph, pp, rng), UNTIL_STOP)
 
-
-def expected_coverage_exact(graph: Graph, seeds: Sequence[int], pp):
-    """Exact expected final coverage of fixed-seed IC via live-edge enumeration.
-
-    Sums |reachable(seeds, L)| * pp^|L| * (1-pp)^(E-|L|) over all edge subsets
-    L. Works with Fraction pp for exact rational answers. Refuses E > 20.
-    """
-    edge_list = list(graph.edges())
-    e = len(edge_list)
-    if e > 20:
-        raise ParameterError(f"too many edges for exact enumeration: {e} > 20")
-    seeds = list(seeds)
-    n = graph.node_count
-    total = pp * 0  # inherits Fraction arithmetic when pp is a Fraction
-    for mask in range(1 << e):
-        # reachability over the live subgraph
-        live = [[] for _ in range(n)]
-        bits = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                u, v = edge_list[i]
-                live[u].append(v)
-                live[v].append(u)
-                bits += 1
-            m >>= 1
-            i += 1
-        seen = bytearray(n)
-        stack = list(seeds)
-        count = 0
-        for s in seeds:
-            if not seen[s]:
-                seen[s] = 1
-                count += 1
-        while stack:
-            u = stack.pop()
-            for v in live[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        weight = (pp ** bits) * ((1 - pp) ** (e - bits))
-        total = total + weight * count
-    return total

@@ -5,10 +5,11 @@ world, sampled from the rng stream derived from (master seed, graph name,
 pp, "world", r). Every sp, ranking and strategy, the SN baseline included,
 is thus paired on common random numbers, and results are independent of
 execution order and bit-reproducible. Each (graph, method) has one ranking,
-drawn from the stream (master seed, graph name, method, "ranking"): a
-random ranking its whole order, so one order per graph, any other its
-tie-breaks, and nothing when no scores tie. Every sp and pp seeds from it,
-so each budget's seeds are a prefix of one order.
+`grid_ranking`, drawn from the stream (master seed, graph name, method,
+"ranking"): a random ranking its whole order, so one order per graph, any
+other its tie-breaks, and nothing when no scores tie. The grid ranks each
+once, before any block runs, and every sp and pp seeds from it, so each
+budget's seeds are a prefix of one order.
 
 The unit of work is a (graph, pp) block: every sp x ranking configuration
 that shares its worlds. Per ranking the SN runs go first; each config's SN
@@ -26,8 +27,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .diffusion import DiffusionState, World, sample_world
 from .graphs import Graph, ParameterError
@@ -83,13 +85,6 @@ class GridSpec:
                 raise ParameterError(f"{field} must not be empty")
             if len(set(values)) < len(values):
                 raise ParameterError(f"duplicate values in {field}: {values}")
-
-    def configs(self) -> List[Tuple[str, float, float, RankingMethod]]:
-        return [(name, pp, sp, method)
-                for name, _ in self.graphs
-                for pp in self.pp_values
-                for sp in self.sp_values
-                for method in self.rankings]
 
     def check_budgets(self) -> None:
         """Reject an SQ_kPS* k above the seed budget of any configuration.
@@ -158,6 +153,15 @@ class BlockConfig:
     t_sn: int = 0
 
 
+def grid_ranking(master_seed: int, graph_name: str, graph: Graph,
+                 method: RankingMethod) -> Ranking:
+    """The one ranking that every configuration of (graph, method) in a grid
+    seeds from, drawn from the stream (master seed, graph name, method,
+    "ranking"). `seqseed rank` and `seqseed simulate` draw the same."""
+    return rank(graph, method, derive_rng(master_seed, graph_name,
+                                          method.value, "ranking"))
+
+
 def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
               rankings: Dict[Tuple[str, RankingMethod], Ranking]
               ) -> Iterator[Tuple[BlockConfig, str, int, DiffusionState]]:
@@ -165,15 +169,14 @@ def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
     yielding `(config, strategy label, run id, final state)` as each run
     ends. A state may go on once the next is asked for: read it first.
 
-    Per ranking (taken from `rankings`, keyed by (graph name, method), or
-    ranked from the stream (master seed, graph name, method, "ranking") and
-    added to it): SN runs first and fixes each config's t_sn and mean
-    coverage; the other strategies follow in spec order. Every kind but TSN
-    runs once per world for all the ranking's configs, at the largest
-    budget, with each config's budget a checkpoint of that run; TSN kinds
-    run per config. A failure raises GridError naming the config whose work
-    raised or, for work that configs share (worlds, a ranking, a
-    checkpointed run), the first config that shares it.
+    Per ranking, read from `rankings` (keyed by (graph name, method), as
+    `grid_ranking` builds them; never written): SN runs first and fixes
+    each config's t_sn and mean coverage; the other strategies follow in
+    spec order. Every kind but TSN runs once per world for all the
+    ranking's configs, at the largest budget, with each config's budget a
+    checkpoint of that run; TSN kinds run per config. A failure raises
+    GridError naming the config whose work raised or, for work that configs
+    share (worlds, a checkpointed run), the first config that shares it.
     """
     where = config_id(graph_name, pp, spec.sp_values[0], spec.rankings[0])
     try:
@@ -183,11 +186,7 @@ def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
                                    method, seed_count(graph, sp))
                        for sp in spec.sp_values]
             where = configs[0].cid
-            key = (graph_name, method)
-            if key not in rankings:
-                rankings[key] = rank(graph, method, derive_rng(
-                    spec.master_seed, graph_name, method.value, "ranking"))
-            ranking = rankings[key]
+            ranking = rankings[graph_name, method]
             by_budget: Dict[int, List[BlockConfig]] = {}
             for cfg in configs:
                 by_budget.setdefault(cfg.n, []).append(cfg)
@@ -218,23 +217,25 @@ def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
         raise GridError(f"config {where} failed: {exc}") from exc
 
 
-# One process's grid state: the spec, its graphs by name, and the ranking of
-# each (graph, method) its blocks have run, which the graph's other blocks
-# reuse. Set by _start_worker, in each pool worker or, at jobs=1, in this
-# process until the grid ends.
-_grid: Dict = {}
+def _ranking(spec: GridSpec, key: Tuple[str, RankingMethod]) -> Ranking:
+    """`grid_ranking` of one (graph name, method) of the grid. A failure
+    raises GridError naming the first config that seeds from it."""
+    name, method = key
+    try:
+        return grid_ranking(spec.master_seed, name, dict(spec.graphs)[name],
+                            method)
+    except Exception as exc:
+        where = config_id(name, spec.pp_values[0], spec.sp_values[0], method)
+        raise GridError(f"config {where} failed: {exc}") from exc
 
 
-def _start_worker(spec: GridSpec) -> None:
-    _grid.update(spec=spec, graphs=dict(spec.graphs), rankings={})
-
-
-def _block_records(block: Tuple[str, float]) -> List[RunRecord]:
+def _block_records(spec: GridSpec,
+                   rankings: Dict[Tuple[str, RankingMethod], Ranking],
+                   block: Tuple[str, float]) -> List[RunRecord]:
     """The records of one (graph, pp) block, in config order: configs by
     sp, then ranking; within one, SN and then the strategies as listed;
     within one, by run id. Each final state becomes its record at once."""
     name, pp = block
-    spec = _grid["spec"]
     labels = ["SN"] + [s.label for s in spec.strategies if s.kind != "SN"]
     column = {label: i for i, label in enumerate(labels)}
     position = {config_id(name, pp, sp, method): i for i, (sp, method)
@@ -242,8 +243,8 @@ def _block_records(block: Tuple[str, float]) -> List[RunRecord]:
     reps = spec.replications
     records: List[Optional[RunRecord]] = [None] * (len(position)
                                                    * len(labels) * reps)
-    for cfg, label, r, state in run_block(spec, name, _grid["graphs"][name],
-                                          pp, _grid["rankings"]):
+    for cfg, label, r, state in run_block(spec, name, dict(spec.graphs)[name],
+                                          pp, rankings):
         slot = (position[cfg.cid] * len(labels) + column[label]) * reps + r
         records[slot] = RunRecord(
             cfg.cid, name, pp, cfg.sp, cfg.method.value, label, r,
@@ -253,28 +254,33 @@ def _block_records(block: Tuple[str, float]) -> List[RunRecord]:
     return records
 
 
+def _grid_records(spec: GridSpec, tasks: Callable) -> List[RunRecord]:
+    """Rank every (graph, method), then run every (graph, pp) block, each
+    step through `tasks`, a `map` that keeps order."""
+    keys = [(name, method) for name, _ in spec.graphs for method in spec.rankings]
+    rankings = dict(zip(keys, tasks(partial(_ranking, spec), keys)))
+    blocks = [(name, pp) for name, _ in spec.graphs for pp in spec.pp_values]
+    chunks = tasks(partial(_block_records, spec, rankings), blocks)
+    return [rec for chunk in chunks for rec in chunk]
+
+
 def run_grid(spec: GridSpec, jobs: int = 1) -> List[RunRecord]:
-    """Run the full grid on `jobs` processes, one (graph, pp) block per
-    task, and return its records in config order. A k above some
-    configuration's seed budget fails the grid before any run; a
-    configuration that fails while it runs fails the grid with a
-    GridError."""
+    """Run the full grid on `jobs` processes and return its records in
+    config order. Each (graph, method) is ranked once per grid, by
+    `grid_ranking`, before any block runs; then each (graph, pp) block is
+    one task. At jobs > 1 the rankings and the blocks are pool tasks alike.
+    A k above some configuration's seed budget fails the grid before any
+    run; a failing ranking fails it with a GridError before any block, and
+    a configuration that fails while it runs fails it with a GridError."""
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     spec.check_budgets()
-    blocks = [(name, pp) for name, _ in spec.graphs for pp in spec.pp_values]
     if jobs == 1:
-        _start_worker(spec)
-        try:
-            return [rec for chunk in map(_block_records, blocks)
-                    for rec in chunk]
-        finally:
-            _grid.clear()
+        return _grid_records(spec, map)
     import multiprocessing  # only here: it adds about 1 MB to a serial run
 
-    with multiprocessing.Pool(jobs, _start_worker, (spec,)) as pool:
-        chunks = pool.map(_block_records, blocks)
-    return [rec for chunk in chunks for rec in chunk]
+    with multiprocessing.Pool(jobs) as pool:
+        return _grid_records(spec, pool.map)
 
 
 @dataclass(slots=True)

@@ -1,4 +1,4 @@
-"""Undirected simple graphs: loading, generation, components, serialization."""
+"""Undirected simple graphs: loading, generation, serialization."""
 from __future__ import annotations
 
 import math
@@ -21,7 +21,8 @@ class Graph:
     Each edge must be listed once, in either direction, between two distinct
     ids in 0..n-1; anything else raises ValueError.
     `labels[i]` is the external label node i was loaded with (stringified id
-    for generated graphs). `dropped_self_loops` / `dropped_duplicates` report
+    for generated graphs); a `labels` list not of length n raises
+    ValueError. `dropped_self_loops` / `dropped_duplicates` report
     how much cleanup the loader did.
     """
 
@@ -43,6 +44,9 @@ class Graph:
             # repeated edge as one neighbour twice
             if lst and (lst[0] < 0 or len(set(lst)) < len(lst)):
                 raise ValueError(message)
+        if labels is not None and len(labels) != node_count:
+            raise ValueError(f"Graph expects {node_count} labels, got "
+                             f"{len(labels)}")
         self.node_count = node_count
         self.adjacency = adjacency
         self.edge_count = sum(map(len, adjacency)) // 2
@@ -188,25 +192,3 @@ def generate_er(n: int, p: float, rng) -> Graph:
         edges.append((u, u + 1 + i - row_start))
     return Graph(n, edges)
 
-
-def components(graph: Graph) -> List[List[int]]:
-    """Connected components as sorted node lists, ordered by smallest member."""
-    seen = bytearray(graph.node_count)
-    out = []
-    adj = graph.adjacency
-    for start in range(graph.node_count):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        comp = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    comp.append(v)
-                    stack.append(v)
-        comp.sort()
-        out.append(comp)
-    return out

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqseed.graphs import Graph, load_edge_list
+from seqseed.graphs import Graph, ParameterError, load_edge_list
 
 
 class ScriptExhausted(Exception):
@@ -67,6 +67,85 @@ def exact_process_expectation(run, graph, pp):
 
     return rec([])
 
+
+
+def expected_coverage_exact(graph, seeds, pp):
+    """Exact expected final coverage of fixed-seed IC via live-edge enumeration.
+
+    Sums |reachable(seeds, L)| * pp^|L| * (1-pp)^(E-|L|) over all edge subsets
+    L. Works with Fraction pp for exact rational answers. Refuses E > 20.
+    """
+    edge_list = list(graph.edges())
+    e = len(edge_list)
+    if e > 20:
+        raise ParameterError(f"too many edges for exact enumeration: {e} > 20")
+    seeds = list(seeds)
+    n = graph.node_count
+    total = pp * 0  # inherits Fraction arithmetic when pp is a Fraction
+    for mask in range(1 << e):
+        # reachability over the live subgraph
+        live = [[] for _ in range(n)]
+        bits = 0
+        m = mask
+        i = 0
+        while m:
+            if m & 1:
+                u, v = edge_list[i]
+                live[u].append(v)
+                live[v].append(u)
+                bits += 1
+            m >>= 1
+            i += 1
+        seen = bytearray(n)
+        stack = list(seeds)
+        count = 0
+        for s in seeds:
+            if not seen[s]:
+                seen[s] = 1
+                count += 1
+        while stack:
+            u = stack.pop()
+            for v in live[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    count += 1
+                    stack.append(v)
+        weight = (pp ** bits) * ((1 - pp) ** (e - bits))
+        total = total + weight * count
+    return total
+
+
+def components(graph):
+    """Connected components as sorted node lists, ordered by smallest member."""
+    seen = bytearray(graph.node_count)
+    out = []
+    adj = graph.adjacency
+    for start in range(graph.node_count):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        comp = [start]
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    comp.append(v)
+                    stack.append(v)
+        comp.sort()
+        out.append(comp)
+    return out
+
+
+def configs(spec):
+    """The (graph name, pp, sp, ranking method) of every configuration of a
+    grid, in config order."""
+    return [(name, pp, sp, method)
+            for name, _ in spec.graphs
+            for pp in spec.pp_values
+            for sp in spec.sp_values
+            for method in spec.rankings]
 
 @pytest.fixture
 def path3():
@@ -144,7 +223,7 @@ def per_config_records(spec):
 
     graphs = dict(spec.graphs)
     records = []
-    for name, pp, sp, method in spec.configs():
+    for name, pp, sp, method in configs(spec):
         g = graphs[name]
         ranking = rank(g, method, derive_rng(spec.master_seed, name,
                                              method.value, "ranking"))

@@ -12,12 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import exact_process_expectation
+from conftest import components, exact_process_expectation, expected_coverage_exact
 
-from seqseed.diffusion import (DiffusionState, activate_seeds,
-                               expected_coverage_exact, run_until_stop)
+from seqseed.diffusion import DiffusionState, activate_seeds, run_until_stop
 from seqseed.experiment import GridSpec, run_grid, summarize, write_records_csv
-from seqseed.graphs import components, generate_ba, generate_er, load_edge_list
+from seqseed.graphs import generate_ba, generate_er, load_edge_list
 from seqseed.ranking import (RankingMethod, eigenvector_scores, pagerank_scores,
                              rank)
 from seqseed.stats import hodges_lehmann, wilcoxon_signed_rank

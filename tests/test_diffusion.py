@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from seqseed.diffusion import (UNTIL_STOP, DiffusionState, activate_seeds,
-                               advance, expected_coverage_exact,
-                               run_until_stop, sample_world)
-from seqseed.graphs import (ParameterError, components, generate_ba,
-                            generate_er, load_edge_list)
+                               advance, run_until_stop, sample_world)
+from seqseed.graphs import (ParameterError, generate_ba, generate_er,
+                            load_edge_list)
+
+from conftest import components, expected_coverage_exact
 
 
 class TestActivateSeeds:

@@ -6,20 +6,22 @@ import multiprocessing
 import random
 import re
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from seqseed import experiment, ranking, strategies as strategy_module
 from seqseed.experiment import (GridError, GridSpec, RunRecord, config_id,
-                                derive_rng, read_records_csv, run_block,
-                                run_grid, summarize, write_records_csv,
+                                derive_rng, grid_ranking, read_records_csv,
+                                run_block, run_grid, summarize,
+                                write_records_csv,
                                 write_scatter_csv, write_summary_csv)
 from seqseed.graphs import ParameterError, generate_ba, generate_er, load_edge_list
 from seqseed.ranking import RankingMethod, rank
 from seqseed.strategies import StrategySpec, seed_count
 
-from conftest import per_config_records
+from conftest import configs, per_config_records
 
 
 def small_spec(strategies, replications=3, master_seed=11, pp_values=(0.2,)):
@@ -35,10 +37,12 @@ def config_tsn(graph, pp, sp, scores=None):
     the degree ranking from `scores` when given."""
     spec = GridSpec([("g", graph)], [pp], [sp], [RankingMethod.DEGREE],
                     [StrategySpec("SN")], replications=5, master_seed=2)
-    rankings = {}
-    if scores is not None:
-        rankings["g", RankingMethod.DEGREE] = rank(
-            graph, RankingMethod.DEGREE, random.Random(0), scores=scores)
+    if scores is None:
+        ranking = grid_ranking(2, "g", graph, RankingMethod.DEGREE)
+    else:
+        ranking = rank(graph, RankingMethod.DEGREE, random.Random(0),
+                       scores=scores)
+    rankings = {("g", RankingMethod.DEGREE): ranking}
     cfg, *_ = next(run_block(spec, "g", graph, pp, rankings))
     return cfg.t_sn
 
@@ -79,7 +83,7 @@ class TestRunGrid:
             rankings=list(RankingMethod),
             strategies=[StrategySpec("SN")],
             replications=1, master_seed=1)
-        assert len(spec.configs()) == 1875
+        assert len(configs(spec)) == 1875
 
     def test_determinism(self):
         strategies = [StrategySpec("SN"), StrategySpec("SQ_kPS_R", k=1),
@@ -121,15 +125,46 @@ def fail_runs_at_pp(monkeypatch, pp):
     monkeypatch.setattr(experiment, "sample_worlds", sample_worlds)
 
 
+def fail_rankings(monkeypatch):
+    """Make every ranking of the grid raise."""
+    def rank(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(experiment, "rank", rank)
+
+
 class TestRunGridJobs:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failing_config_fails_grid(self, monkeypatch, jobs):
+    @pytest.mark.parametrize("jobs, fail, pp", [
+        *(pytest.param(jobs, partial(fail_runs_at_pp, pp=0.3), r"0\.3",
+                       id=str(jobs)) for jobs in (1, 2)),
+        *(pytest.param(jobs, fail_rankings, r"0\.2", id=f"ranking-{jobs}")
+          for jobs in (1, 2))])
+    def test_failing_config_fails_grid(self, monkeypatch, jobs, fail, pp):
         spec = small_spec([StrategySpec("SN"), StrategySpec("SQ_TSN")],
                           pp_values=[0.2, 0.3])
-        fail_runs_at_pp(monkeypatch, 0.3)
-        with pytest.raises(GridError, match=r"config ba60\|pp=0\.3\|sp=0\.05"
+        fail(monkeypatch)
+        with pytest.raises(GridError, match=rf"config ba60\|pp={pp}\|sp=0\.05"
                            r"\|degree failed: injected failure"):
             run_grid(spec, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_rank_call_per_graph_and_method(self, monkeypatch, tmp_path,
+                                                jobs):
+        """Each (graph, method) is ranked once per grid, at every job count:
+        calls are counted across processes, one line each in a file."""
+        log = tmp_path / "rank_calls"
+        real = experiment.rank
+
+        def rank(graph, method, *args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{method.value}\n")
+            return real(graph, method, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "rank", rank)
+        spec = pinned_grid()
+        run_grid(spec, jobs=jobs)
+        calls = log.read_text(encoding="utf-8").split()
+        assert len(calls) == len(spec.graphs) * len(spec.rankings)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, monkeypatch, jobs):
@@ -179,7 +214,7 @@ class TestRunGridJobs:
             calls.clear()
             run_grid(dataclasses.replace(spec, replications=replications),
                      jobs=1)
-            assert len(calls) == (len(spec.configs()) * per_config
+            assert len(calls) == (len(configs(spec)) * per_config
                                   + blocks * shared)
 
     def test_one_world_list_per_block_and_one_ranking_per_method(
@@ -318,7 +353,8 @@ def test_records_bytes_pinned():
     TSN with n < t_sn, buffering that banks, and saturated pp = 1 configs
     that forfeit budget."""
     spec = pinned_grid()
-    rankings = {}
+    rankings = {(name, method): grid_ranking(spec.master_seed, name, g, method)
+                for name, g in spec.graphs for method in spec.rankings}
     runs = [(cfg, label, state.forfeited) for name, g in spec.graphs
             for pp in spec.pp_values
             for cfg, label, _, state in run_block(spec, name, g, pp, rankings)]
@@ -392,7 +428,7 @@ def test_saturating_grid_forfeits_at_every_budget():
     graph = dict(spec.graphs)["ba200"]
     k = {"SQ_1PS_R": 1, "SQ_2PS_R": 2}
     checked = [r for r in run_grid(spec) if r.strategy in k]
-    assert len(checked) == len(k) * len(spec.configs()) * spec.replications
+    assert len(checked) == len(k) * len(configs(spec)) * spec.replications
     for r in checked:
         assert r.coverage == 200
         assert r.forfeited == seed_count(graph, r.sp) - k[r.strategy], r

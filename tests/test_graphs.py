@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqseed.graphs import (Graph, GraphParseError, ParameterError, components,
-                            generate_ba, generate_er, load_edge_list, serialize,
-                            skip_sample)
+from seqseed.graphs import (Graph, GraphParseError, ParameterError, generate_ba,
+                            generate_er, load_edge_list, serialize, skip_sample)
+
+from conftest import components
 
 
 class TestGraph:
@@ -26,6 +27,12 @@ class TestGraph:
     def test_unclean_edges_rejected(self, edges):
         with pytest.raises(ValueError, match=r"simple edges between ids 0\.\.2"):
             Graph(3, edges)
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c", "d"], []],
+                             ids=["short", "long", "empty"])
+    def test_labels_of_wrong_length_rejected(self, labels):
+        with pytest.raises(ValueError, match=f"3 labels, got {len(labels)}"):
+            Graph(3, [(0, 1), (1, 2)], labels=labels)
 
 
 class TestLoadEdgeList:
