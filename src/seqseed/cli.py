@@ -26,7 +26,10 @@ DEFAULT_SEED = 1729
 
 def _load_graph(path: str):
     with open(path, encoding="utf-8") as fh:
-        g = load_edge_list(fh)
+        try:
+            g = load_edge_list(fh)
+        except (GraphParseError, UnicodeDecodeError) as exc:
+            raise GraphParseError(f"{path}: {exc}") from None
     if g.dropped_self_loops or g.dropped_duplicates:
         print(f"warning: dropped {g.dropped_self_loops} self-loops and "
               f"{g.dropped_duplicates} duplicate edges", file=sys.stderr)

@@ -29,7 +29,8 @@ import random
 from typing import List, Tuple
 
 from .experiment import GridSpec
-from .graphs import Graph, ParameterError, generate_ba, generate_er, load_edge_list
+from .graphs import (Graph, GraphParseError, ParameterError, generate_ba,
+                     generate_er, load_edge_list)
 from .ranking import RankingMethod
 from .strategies import StrategySpec
 
@@ -63,23 +64,26 @@ def _build_graph(entry: dict, index: int, base_dir: str) -> Tuple[str, Graph]:
         raise ConfigError(f"{where}: expected an object")
     name = _require(entry, "name", str, where)
     kind = _require(entry, "type", str, where)
-    if kind == "ba":
-        n = _require(entry, "n", int, where)
-        m = _require(entry, "m", int, where)
-        seed = _require(entry, "seed", int, where)
-        return name, generate_ba(n, m, random.Random(seed))
-    if kind == "er":
-        n = _require(entry, "n", int, where)
-        p = _require(entry, "p", (int, float), where)
-        seed = _require(entry, "seed", int, where)
-        return name, generate_er(n, float(p), random.Random(seed))
     if kind == "edgelist":
         path = _require(entry, "path", str, where)
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         with open(path, encoding="utf-8") as fh:
-            return name, load_edge_list(fh)
-    raise ConfigError(f"{where}.type: unknown graph type {kind!r}")
+            try:
+                return name, load_edge_list(fh)
+            except (GraphParseError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{where}: {path}: {exc}") from None
+    if kind not in ("ba", "er"):
+        raise ConfigError(f"{where}.type: unknown graph type {kind!r}")
+    n = _require(entry, "n", int, where)
+    param = (_require(entry, "m", int, where) if kind == "ba"
+             else float(_require(entry, "p", (int, float), where)))
+    seed = _require(entry, "seed", int, where)
+    generate = generate_ba if kind == "ba" else generate_er
+    try:
+        return name, generate(n, param, random.Random(seed))
+    except ParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _build_strategy(entry, index: int) -> StrategySpec:

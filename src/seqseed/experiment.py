@@ -26,7 +26,7 @@ import io
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
@@ -64,8 +64,8 @@ class GridSpec:
         for sp in self.sp_values:
             if not 0.0 < sp <= 1.0:
                 raise ParameterError(f"sp {sp} outside (0, 1]")
-        # config ids and CSV columns write pp and sp as :g, and the id keys
-        # the rng streams, so a value must survive that form exactly
+        # config ids and CSV columns write pp and sp as :g, and so does the
+        # world stream's key for pp, so a value must survive that form exactly
         for x in self.pp_values + self.sp_values:
             if float(f"{x:g}") != x:
                 raise ParameterError(
@@ -167,7 +167,7 @@ def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
               ) -> Iterator[Tuple[BlockConfig, str, int, DiffusionState]]:
     """Run every configuration of the (graph, pp) block on its worlds,
     yielding `(config, strategy label, run id, final state)` as each run
-    ends. A state may go on once the next is asked for: read it first.
+    ends. A yielded state is final: no later run changes it.
 
     Per ranking, read from `rankings` (keyed by (graph name, method), as
     `grid_ranking` builds them; never written): SN runs first and fixes
@@ -325,10 +325,8 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
     labels = {strategy for block in by_config.values() for strategy in block}
 
     per_config: List[ConfigStrategyRow] = []
-    strat_diffs: Dict[str, List[float]] = {}
-    strat_cov_ratios: Dict[str, List[float]] = {}
-    strat_dur_ratios: Dict[str, List[float]] = {}
-    strat_run_wins: Dict[str, List[int]] = {}
+    run_wins: Counter = Counter()  # runs above their config's SN mean
+    sn_runs = 0  # by the pairing checks, every strategy's run count
 
     for cid in sorted(by_config):
         block = by_config[cid]
@@ -340,6 +338,7 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
                              f"strategy {', '.join(sorted(missing))}")
         sn = block["SN"]
         sn_ids = {r.run_id for r in sn}
+        sn_runs += len(sn)
         mean_c_sn = sum(r.coverage for r in sn) / len(sn)
         mean_t_sn = sum(r.duration for r in sn) / len(sn)
         for strategy in sorted(block):
@@ -360,31 +359,30 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
             dur_ratio = mean_t / mean_t_sn if mean_t_sn > 0 else None
             per_config.append(ConfigStrategyRow(cid, strategy, mean_c, mean_t,
                                                 cov_ratio, dur_ratio))
-            if strategy == "SN":
-                continue
-            strat_diffs.setdefault(strategy, []).append(mean_c - mean_c_sn)
-            if cov_ratio is not None:
-                strat_cov_ratios.setdefault(strategy, []).append(cov_ratio)
-            if dur_ratio is not None:
-                strat_dur_ratios.setdefault(strategy, []).append(dur_ratio)
-            strat_run_wins.setdefault(strategy, []).extend(
-                1 if r.coverage > mean_c_sn else 0 for r in runs)
+            if strategy != "SN":
+                run_wins[strategy] += sum(1 for r in runs if r.coverage > mean_c_sn)
 
+    # every config has every strategy, so each strategy's rows are in config
+    # order, row for row beside SN's
+    by_strategy: Dict[str, List[ConfigStrategyRow]] = {}
+    for row in per_config:
+        by_strategy.setdefault(row.strategy, []).append(row)
+    sn_rows = by_strategy.pop("SN")
     per_strategy: List[StrategyRow] = []
-    for strategy in sorted(strat_diffs):
-        diffs = strat_diffs[strategy]
+    for strategy, rows in sorted(by_strategy.items()):
+        diffs = [r.mean_coverage - sn.mean_coverage
+                 for r, sn in zip(rows, sn_rows)]
+        cov = [r.coverage_ratio for r in rows if r.coverage_ratio is not None]
+        dur = [r.duration_ratio for r in rows if r.duration_ratio is not None]
         wins = sum(1 for d in diffs if d > 0)
         nonties = sum(1 for d in diffs if d != 0)
-        cov = strat_cov_ratios.get(strategy)
-        dur = strat_dur_ratios.get(strategy)
         wil = wilcoxon_signed_rank(diffs)
         per_strategy.append(StrategyRow(
             strategy=strategy,
             n_configs=len(diffs),
             win_fraction=wins / len(diffs),
             win_fraction_excl_ties=(wins / nonties) if nonties else 0.5,
-            run_win_fraction=(sum(strat_run_wins[strategy])
-                              / len(strat_run_wins[strategy])),
+            run_win_fraction=run_wins[strategy] / sn_runs,
             mean_coverage_ratio=(sum(cov) / len(cov)) if cov else None,
             mean_duration_ratio=(sum(dur) / len(dur)) if dur else None,
             hl_delta=hodges_lehmann(diffs),
@@ -394,15 +392,22 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
 
 
 # ---------------------------------------------------------------------------
-# CSV emission / parsing (6 significant digits, fixed column order)
+# CSV emission / parsing (6 significant digits). Each table's header is its
+# row type's field names, in field order.
 
-RECORD_COLUMNS = ("config_id,graph,pp,sp,ranking,strategy,run_id,"
-                  "coverage,duration,t_reach_csn,coverage_at_tsn,forfeited")
+RECORD_COLUMNS = ",".join(f.name for f in fields(RunRecord))
 
 
 def _fmt(x):
     """A float in 6 significant digits; csv writes None as empty, ints as is."""
     return f"{x:.6g}" if isinstance(x, float) else x
+
+
+def _table(out: TextIO, row_type):
+    """A csv writer on `out` that has written the header of `row_type`."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([f.name for f in fields(row_type)])
+    return writer
 
 
 class _Memo(dict):
@@ -424,29 +429,27 @@ class _Memo(dict):
 
 def write_records_csv(records: Sequence[RunRecord], out: TextIO) -> None:
     text = _Memo(_fmt)
-    out.write(RECORD_COLUMNS + "\n")
-    csv.writer(out, lineterminator="\n").writerows([
+    _table(out, RunRecord).writerows([
         r.config_id, r.graph, text[r.pp], text[r.sp], r.ranking, r.strategy,
         r.run_id, r.coverage, r.duration, r.t_reach_csn, r.coverage_at_tsn,
         r.forfeited]
         for r in records)
 
 
-_NUMERIC_COLUMNS = ((2, float, "a number"), (3, float, "a number"),
-                    *((i, int, "an integer") for i in range(6, 12)))
+# how each numeric annotation of RunRecord parses, and what it must be
+_NUMBERS = {"float": (float, "a number"), "int": (int, "an integer"),
+            "Optional[int]": (lambda text: text and int(text), "an integer")}
 
 
-def _raise_field_error(line: int, fields: List[str]) -> None:
+def _raise_field_error(line: int, row: List[str]) -> None:
     """Raise ValueError naming the line and the first numeric column of a
-    row that does not parse."""
-    names = RECORD_COLUMNS.split(",")
-    for i, parse, kind in _NUMERIC_COLUMNS:
-        if i == 9 and not fields[i]:  # t_reach_csn is empty when never reached
-            continue
+    row that does not parse; an Optional one may be empty."""
+    for field, text in zip(fields(RunRecord), row):
+        parse, kind = _NUMBERS.get(field.type, (str, "text"))
         try:
-            parse(fields[i])
+            parse(text)
         except ValueError:
-            raise ValueError(f"line {line}: {names[i]} {fields[i]!r} "
+            raise ValueError(f"line {line}: {field.name} {text!r} "
                              f"is not {kind}") from None
 
 
@@ -463,14 +466,15 @@ def read_records_csv(lines) -> List[RunRecord]:
     header = next(reader, [])
     if header != RECORD_COLUMNS.split(","):
         raise ValueError(f"unexpected records header: {','.join(header)!r}")
+    width = len(header)
     name, number, integer = _Memo(str), _Memo(float), _Memo(int)
     records = []
     for f in reader:
         if not f:
             continue
-        if len(f) != 12:
-            raise ValueError(f"line {reader.line_num}: expected 12 fields, "
-                             f"got {len(f)}")
+        if len(f) != width:
+            raise ValueError(f"line {reader.line_num}: expected {width} "
+                             f"fields, got {len(f)}")
         try:
             records.append(RunRecord(
                 name[f[0]], name[f[1]], number[f[2]], number[f[3]], name[f[4]],
@@ -484,10 +488,7 @@ def read_records_csv(lines) -> List[RunRecord]:
 
 
 def write_summary_csv(summary: ComparisonSummary, out: TextIO) -> None:
-    out.write("strategy,n_configs,win_fraction,win_fraction_excl_ties,"
-              "run_win_fraction,mean_coverage_ratio,mean_duration_ratio,"
-              "hl_delta,wilcoxon_p\n")
-    csv.writer(out, lineterminator="\n").writerows([
+    _table(out, StrategyRow).writerows([
         row.strategy, row.n_configs, _fmt(row.win_fraction),
         _fmt(row.win_fraction_excl_ties), _fmt(row.run_win_fraction),
         _fmt(row.mean_coverage_ratio), _fmt(row.mean_duration_ratio),
@@ -496,9 +497,7 @@ def write_summary_csv(summary: ComparisonSummary, out: TextIO) -> None:
 
 def write_scatter_csv(summary: ComparisonSummary, out: TextIO) -> None:
     """Per-config coverage/duration ratios (Fig. 2(E)-style scatter data)."""
-    out.write("config_id,strategy,mean_coverage,mean_duration,"
-              "coverage_ratio,duration_ratio\n")
-    csv.writer(out, lineterminator="\n").writerows([
+    _table(out, ConfigStrategyRow).writerows([
         row.config_id, row.strategy, _fmt(row.mean_coverage),
         _fmt(row.mean_duration), _fmt(row.coverage_ratio),
         _fmt(row.duration_ratio)] for row in summary.per_config)

@@ -205,8 +205,8 @@ def run_on_worlds(graph: Graph, ranking: Ranking, spec: StrategySpec,
     per stage, or (`_R`) until diffusion stops. `_B` adds buffering. Every
     kind but SQ_TSN and SQ_TSN_R takes any number of budgets and runs once
     per world, each budget a checkpoint of that run; TSN kinds take one. A
-    yielded state may be the run's own, which goes on when the next is asked
-    for: read it before asking.
+    yielded state is final: every budget but the last finishes on a copy,
+    and the run ends with the last.
     """
     budgets = sorted(set(budgets))
     for n in budgets:

@@ -33,6 +33,32 @@ K_ABOVE_BUDGET_CONFIG = dict(
     GRID_CONFIG, graphs=[{"name": "ba", "type": "ba", "n": 200, "m": 2, "seed": 3}],
     sp=[0.01, 0.05], strategies=["SN", "SQ_3PS_R"])
 
+# graph entries that their generator or edge-list parser rejects, with the
+# message each fails with; {path} stands for the edge list's path
+BAD_GRAPHS = [
+    ({"type": "ba", "n": 3, "m": 5, "seed": 1}, "graphs[0]: need n > m"),
+    ({"type": "er", "n": 10, "p": 1.5, "seed": 1},
+     "graphs[0]: p must be in [0, 1]"),
+    ({"type": "edgelist", "path": "one-label.txt"},
+     "graphs[0]: {path}: line 2: expected two labels, got 1"),
+    ({"type": "edgelist", "path": "no-edges.txt"},
+     "graphs[0]: {path}: empty edge list"),
+    ({"type": "edgelist", "path": "latin-1.txt"},
+     "graphs[0]: {path}: 'utf-8' codec can't decode byte 0xe9 in position 4: "
+     "invalid continuation byte")]
+BAD_GRAPH_IDS = ["ba-m", "er-p", "one-label", "no-edges", "latin-1"]
+BAD_EDGE_LISTS = {"one-label.txt": b"0 1\n2\n", "no-edges.txt": b"# none\n",
+                  "latin-1.txt": b"0 1\n\xe9 2\n"}
+
+
+def bad_graph_config(tmp_path, entry, message):
+    """A grid config holding `entry` as its one graph, beside the edge
+    lists of BAD_EDGE_LISTS, and the message it fails with."""
+    for name, data in BAD_EDGE_LISTS.items():
+        (tmp_path / name).write_bytes(data)
+    config = dict(GRID_CONFIG, graphs=[dict(entry, name="g")])
+    return config, message.format(path=tmp_path / entry.get("path", ""))
+
 
 class TestConfigLoading:
     def test_valid_config(self):
@@ -86,6 +112,13 @@ class TestConfigLoading:
     def test_wrong_entry_type_named(self, field, value, where):
         with pytest.raises(ConfigError, match=where):
             load_grid_config(dict(GRID_CONFIG, **{field: value}))
+
+    @pytest.mark.parametrize("entry, message", BAD_GRAPHS, ids=BAD_GRAPH_IDS)
+    def test_bad_graph_named_with_index(self, tmp_path, entry, message):
+        config, message = bad_graph_config(tmp_path, entry, message)
+        with pytest.raises(ConfigError) as info:
+            load_grid_config(config, base_dir=str(tmp_path))
+        assert str(info.value) == message
 
     def test_unknown_ranking(self):
         bad = dict(GRID_CONFIG, rankings=["closeness"])
@@ -176,6 +209,25 @@ class TestRank:
         got = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert got == [g.labels[v] for v in want.order]
         assert got[:10] == ["2", "1", "6", "8", "0", "5", "14", "26", "7", "9"]
+
+
+@pytest.mark.parametrize("command", [
+    ["rank", "--method", "degree", "--out", "r.csv"],
+    ["simulate", "--strategy", "SN", "--ranking", "degree", "--sp", "0.1",
+     "--pp", "0.3", "--out-dir", "sim"]], ids=["rank", "simulate"])
+@pytest.mark.parametrize("name, message", [
+    ("one-label.txt", "line 2: expected two labels, got 1"),
+    ("no-edges.txt", "empty edge list"),
+    ("latin-1.txt", "'utf-8' codec can't decode byte 0xe9 in position 4: "
+     "invalid continuation byte")], ids=["one-label", "no-edges", "latin-1"])
+def test_bad_edge_list_names_its_path(tmp_path, capsys, monkeypatch, command,
+                                      name, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(BAD_EDGE_LISTS[name])
+    code, out, err = run_cli(command[:1] + ["--graph", name] + command[1:],
+                             capsys)
+    assert (code, out, err) == (1, "", f"error: {name}: {message}\n")
+    assert os.listdir(tmp_path) == [name]
 
 
 class TestSimulate:
@@ -430,6 +482,29 @@ class TestGridAndSummarize:
         assert code == 1
         assert "config ba|pp=0.1|sp=0.05|degree failed: injected failure" in err
         assert not (tmp_path / "out" / "records.csv").exists()
+
+    @pytest.mark.parametrize("entry, message", BAD_GRAPHS, ids=BAD_GRAPH_IDS)
+    def test_bad_graph_exits_nonzero(self, tmp_path, capsys, entry, message):
+        config, message = bad_graph_config(tmp_path, entry, message)
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["grid", "--config", str(cfg),
+                                  "--out-dir", str(tmp_path / "out")], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("config_id,graph\n", "unexpected records header: 'config_id,graph'"),
+        (RECORD_COLUMNS + "\n" + "x," * 10 + "x\n",
+         "line 2: expected 12 fields, got 11")], ids=["header", "field-count"])
+    def test_summarize_bad_layout_exits_nonzero(self, tmp_path, capsys, text,
+                                                message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code, out, err = run_cli(["summarize", "--records", str(bad),
+                                  "--out-dir", str(tmp_path / "sum")], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "sum").exists()
 
     def test_wrong_entry_type_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqseed import experiment, ranking, strategies as strategy_module
-from seqseed.experiment import (GridError, GridSpec, RunRecord, config_id,
-                                derive_rng, grid_ranking, read_records_csv,
-                                run_block, run_grid, summarize,
-                                write_records_csv,
+from seqseed.experiment import (RECORD_COLUMNS, GridError, GridSpec, RunRecord,
+                                config_id, derive_rng, grid_ranking,
+                                read_records_csv, run_block, run_grid,
+                                summarize, write_records_csv,
                                 write_scatter_csv, write_summary_csv)
 from seqseed.graphs import ParameterError, generate_ba, generate_er, load_edge_list
 from seqseed.ranking import RankingMethod, rank
@@ -550,6 +550,14 @@ def run_records(draw):
         draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 10 ** 4)))
 
 
+def two_records_csv():
+    """The header and two rows of a records CSV, as lines."""
+    records = run_grid(small_spec([StrategySpec("SN")], replications=2))
+    buf = io.StringIO()
+    write_records_csv(records, buf)
+    return buf.getvalue().splitlines()
+
+
 class TestRecordsCsv:
     def test_roundtrip(self):
         records = run_grid(small_spec([StrategySpec("SQ_TSN")], replications=2))
@@ -566,6 +574,25 @@ class TestRecordsCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             read_records_csv("nope\n1,2,3\n")
+
+    @pytest.mark.parametrize("header", [
+        RECORD_COLUMNS.replace(",forfeited", ""),
+        RECORD_COLUMNS + ",redirected",
+        RECORD_COLUMNS.replace("pp,sp", "sp,pp")],
+        ids=["one-fewer", "one-more", "swapped"])
+    def test_header_other_than_the_record_fields_named(self, header):
+        message = f"unexpected records header: {header!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_records_csv(header + "\n")
+
+    @pytest.mark.parametrize("width", [11, 13])
+    def test_field_count_names_line(self, width):
+        header, first, second = two_records_csv()
+        row = (second.split(",") + ["0"])[:width]
+        bad = "\n".join([header, first, ",".join(row)]) + "\n"
+        message = f"line 3: expected 12 fields, got {width}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_records_csv(bad)
 
     def test_repeated_fields_share_one_object(self):
         spec = small_spec([StrategySpec("SQ_TSN"), StrategySpec("SQ_kPS", k=1)],
@@ -609,12 +636,14 @@ class TestRecordsCsv:
         ("sp", "", "line 3: sp '' is not a number"),
         ("run_id", "x", "line 3: run_id 'x' is not an integer"),
         ("t_reach_csn", "1.5", "line 3: t_reach_csn '1.5' is not an integer"),
-        ("forfeited", "-", "line 3: forfeited '-' is not an integer")])
+        ("forfeited", "-", "line 3: forfeited '-' is not an integer"),
+        ("coverage", "1e3", "line 3: coverage '1e3' is not an integer"),
+        ("duration", "2.0", "line 3: duration '2.0' is not an integer"),
+        ("coverage_at_tsn", "x",
+         "line 3: coverage_at_tsn 'x' is not an integer"),
+        ("run_id", "", "line 3: run_id '' is not an integer")])
     def test_bad_number_names_line_and_column(self, column, value, message):
-        records = run_grid(small_spec([StrategySpec("SN")], replications=2))
-        buf = io.StringIO()
-        write_records_csv(records, buf)
-        header, first, second = buf.getvalue().splitlines()
+        header, first, second = two_records_csv()
         row = second.split(",")
         row[header.split(",").index(column)] = value
         bad = "\n".join([header, first, ",".join(row)]) + "\n"
