@@ -68,11 +68,13 @@ def _build_graph(entry: dict, index: int, base_dir: str) -> Tuple[str, Graph]:
         path = _require(entry, "path", str, where)
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 return name, load_edge_list(fh)
-            except (GraphParseError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"{where}: {path}: {exc}") from None
+        except OSError as exc:  # its text repeats the path
+            raise ConfigError(f"{where}: {path}: {exc.strerror}") from None
+        except (GraphParseError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{where}: {path}: {exc}") from None
     if kind not in ("ba", "er"):
         raise ConfigError(f"{where}.type: unknown graph type {kind!r}")
     n = _require(entry, "n", int, where)

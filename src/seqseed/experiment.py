@@ -29,7 +29,8 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import product
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, TextIO, Tuple)
 
 from .diffusion import DiffusionState, World, sample_world
 from .graphs import Graph, ParameterError
@@ -395,19 +396,16 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
 # CSV emission / parsing (6 significant digits). Each table's header is its
 # row type's field names, in field order.
 
-RECORD_COLUMNS = ",".join(f.name for f in fields(RunRecord))
+def _header(row_type) -> str:
+    return ",".join(f.name for f in fields(row_type))
 
 
-def _fmt(x):
-    """A float in 6 significant digits; csv writes None as empty, ints as is."""
-    return f"{x:.6g}" if isinstance(x, float) else x
+RECORD_COLUMNS = _header(RunRecord)
 
 
-def _table(out: TextIO, row_type):
-    """A csv writer on `out` that has written the header of `row_type`."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([f.name for f in fields(row_type)])
-    return writer
+def _fmt(x: Optional[float]) -> str:
+    """A float in 6 significant digits; None as an empty field."""
+    return "" if x is None else f"{x:.6g}"
 
 
 class _Memo(dict):
@@ -427,13 +425,36 @@ class _Memo(dict):
         return value
 
 
-def write_records_csv(records: Sequence[RunRecord], out: TextIO) -> None:
-    text = _Memo(_fmt)
-    _table(out, RunRecord).writerows([
-        r.config_id, r.graph, text[r.pp], text[r.sp], r.ranking, r.strategy,
-        r.run_id, r.coverage, r.duration, r.t_reach_csn, r.coverage_at_tsn,
-        r.forfeited]
-        for r in records)
+def _csv_texts() -> _Memo:
+    """A memo mapping each text to its form inside a row of the tables'
+    csv dialect, as a csv writer writes it: the text itself when it needs
+    no quoting, so the memo holds no copies."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+
+    def form(text):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text, ""))  # not alone: csv quotes a lone ""
+        quoted = buf.getvalue()[:-2]  # less the "," and "\n"
+        return text if quoted == text else quoted
+    return _Memo(form)
+
+
+def _write_table(out: TextIO, row_type, lines: Iterable[str]) -> None:
+    """Write the header of `row_type`, then `lines`, each a row ending in a
+    newline, one at a time as they are made."""
+    out.write(_header(row_type) + "\n")
+    out.writelines(lines)
+
+
+def write_records_csv(records: Iterable[RunRecord], out: TextIO) -> None:
+    text, number = _csv_texts(), _Memo(_fmt)
+    _write_table(out, RunRecord, (
+        f"{text[r.config_id]},{text[r.graph]},{number[r.pp]},{number[r.sp]},"
+        f"{text[r.ranking]},{text[r.strategy]},{r.run_id},{r.coverage},"
+        f"{r.duration},{'' if r.t_reach_csn is None else r.t_reach_csn},"
+        f"{r.coverage_at_tsn},{r.forfeited}\n" for r in records))
 
 
 # how each numeric annotation of RunRecord parses, and what it must be
@@ -488,16 +509,20 @@ def read_records_csv(lines) -> List[RunRecord]:
 
 
 def write_summary_csv(summary: ComparisonSummary, out: TextIO) -> None:
-    _table(out, StrategyRow).writerows([
-        row.strategy, row.n_configs, _fmt(row.win_fraction),
-        _fmt(row.win_fraction_excl_ties), _fmt(row.run_win_fraction),
-        _fmt(row.mean_coverage_ratio), _fmt(row.mean_duration_ratio),
-        _fmt(row.hl_delta), _fmt(row.wilcoxon_p)] for row in summary.per_strategy)
+    text, number = _csv_texts(), _Memo(_fmt)
+    _write_table(out, StrategyRow, (
+        f"{text[row.strategy]},{row.n_configs},{number[row.win_fraction]},"
+        f"{number[row.win_fraction_excl_ties]},"
+        f"{number[row.run_win_fraction]},{number[row.mean_coverage_ratio]},"
+        f"{number[row.mean_duration_ratio]},{number[row.hl_delta]},"
+        f"{number[row.wilcoxon_p]}\n" for row in summary.per_strategy))
 
 
 def write_scatter_csv(summary: ComparisonSummary, out: TextIO) -> None:
     """Per-config coverage/duration ratios (Fig. 2(E)-style scatter data)."""
-    _table(out, ConfigStrategyRow).writerows([
-        row.config_id, row.strategy, _fmt(row.mean_coverage),
-        _fmt(row.mean_duration), _fmt(row.coverage_ratio),
-        _fmt(row.duration_ratio)] for row in summary.per_config)
+    text, number = _csv_texts(), _Memo(_fmt)
+    _write_table(out, ConfigStrategyRow, (
+        f"{text[row.config_id]},{text[row.strategy]},"
+        f"{number[row.mean_coverage]},{number[row.mean_duration]},"
+        f"{number[row.coverage_ratio]},{number[row.duration_ratio]}\n"
+        for row in summary.per_config))

@@ -106,13 +106,13 @@ def eigenvector_scores(graph: Graph, tol: float = 1e-10,
     x = [1.0 / math.sqrt(n)] * n
     for it in range(1, max_iter + 1):
         y = list(x)
-        for u in range(n):
-            xu = x[u]
-            for v in adj[u]:
+        for xu, nbrs in zip(x, adj):
+            for v in nbrs:
                 y[v] += xu
         norm = math.sqrt(sum(map(mul, y, y)))
         y = list(map(truediv, y, repeat(norm)))
-        dist = math.sqrt(sum((y[i] - x[i]) ** 2 for i in range(n)))
+        d = list(map(sub, y, x))
+        dist = math.sqrt(sum(map(mul, d, d)))
         x = y
         if dist < tol:
             return PowerIterationResult(x, it, True)

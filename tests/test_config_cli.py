@@ -33,8 +33,9 @@ K_ABOVE_BUDGET_CONFIG = dict(
     GRID_CONFIG, graphs=[{"name": "ba", "type": "ba", "n": 200, "m": 2, "seed": 3}],
     sp=[0.01, 0.05], strategies=["SN", "SQ_3PS_R"])
 
-# graph entries that their generator or edge-list parser rejects, with the
-# message each fails with; {path} stands for the edge list's path
+# graph entries that their generator or edge-list parser rejects, or whose
+# edge list cannot be opened, with the message each fails with; {path}
+# stands for the edge list's path
 BAD_GRAPHS = [
     ({"type": "ba", "n": 3, "m": 5, "seed": 1}, "graphs[0]: need n > m"),
     ({"type": "er", "n": 10, "p": 1.5, "seed": 1},
@@ -45,8 +46,10 @@ BAD_GRAPHS = [
      "graphs[0]: {path}: empty edge list"),
     ({"type": "edgelist", "path": "latin-1.txt"},
      "graphs[0]: {path}: 'utf-8' codec can't decode byte 0xe9 in position 4: "
-     "invalid continuation byte")]
-BAD_GRAPH_IDS = ["ba-m", "er-p", "one-label", "no-edges", "latin-1"]
+     "invalid continuation byte"),
+    ({"type": "edgelist", "path": "missing.txt"},
+     "graphs[0]: {path}: No such file or directory")]
+BAD_GRAPH_IDS = ["ba-m", "er-p", "one-label", "no-edges", "latin-1", "missing"]
 BAD_EDGE_LISTS = {"one-label.txt": b"0 1\n2\n", "no-edges.txt": b"# none\n",
                   "latin-1.txt": b"0 1\n\xe9 2\n"}
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import io
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqseed import experiment, ranking, strategies as strategy_module
-from seqseed.experiment import (RECORD_COLUMNS, GridError, GridSpec, RunRecord,
-                                config_id, derive_rng, grid_ranking,
+from seqseed.experiment import (RECORD_COLUMNS, ComparisonSummary,
+                                ConfigStrategyRow, GridError, GridSpec,
+                                RunRecord, config_id, derive_rng, grid_ranking,
                                 read_records_csv, run_block, run_grid,
                                 summarize, write_records_csv,
                                 write_scatter_csv, write_summary_csv)
@@ -327,10 +329,14 @@ PINNED_RECORDS_SHA256 = "c36e4abe2cea0cd6ae0f3508964ace917f47dca9c6a001091e50a6a
 PINNED_SUMMARY_SHA256 = "bc90befc203be769b267fc7d081065ea1c733e15b018896426a4f135dd06e2f7"
 PINNED_SCATTER_SHA256 = "67de54c60fb8a4e9e7e0fd68c162a501068758eafbb943dafd0da5ea893092f5"
 
-def csv_sha256(write, rows):
+def written(write, rows):
     buf = io.StringIO()
     write(rows, buf)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return buf.getvalue()
+
+
+def csv_sha256(write, rows):
+    return hashlib.sha256(written(write, rows).encode()).hexdigest()
 
 
 def records_sha256(records):
@@ -550,6 +556,23 @@ def run_records(draw):
         draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 10 ** 4)))
 
 
+def reference_csv(row_type, rows):
+    """A table as a csv writer writes it, row by row: the header of
+    `row_type`, then each row's fields, a float in 6 significant digits and
+    None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f.name for f in dataclasses.fields(row_type)])
+    for row in rows:
+        writer.writerow([f"{v:.6g}" if isinstance(v, float) else v
+                         for v in dataclasses.astuple(row)])
+    return buf.getvalue()
+
+
+# text that a csv writer quotes, doubles a quote in, or writes as it is
+CSV_TEXTS = ["", 'a"b', '"', "a,b", "a\nb", " a", "a ", " ", "plain"]
+
+
 def two_records_csv():
     """The header and two rows of a records CSV, as lines."""
     records = run_grid(small_spec([StrategySpec("SN")], replications=2))
@@ -570,6 +593,21 @@ class TestRecordsCsv:
         buf = io.StringIO()
         write_records_csv(records, buf)
         assert read_records_csv(buf.getvalue()) == records
+
+    @given(st.lists(run_records(), max_size=6))
+    def test_bytes_equal_a_csv_writer(self, records):
+        assert written(write_records_csv, records) == reference_csv(
+            RunRecord, records)
+
+    @pytest.mark.parametrize("name", CSV_TEXTS)
+    def test_quoted_names_equal_a_csv_writer(self, name):
+        records = [RunRecord(config_id(name, pp, 0.5, RankingMethod.DEGREE),
+                             name, pp, 0.5, "degree", "SN", r, 3, 2, t, 3, 0)
+                   for r, (pp, t) in enumerate([(0.1, None), (0.0, 1),
+                                                (-0.0, None), (0.1, 2)])]
+        text = written(write_records_csv, records)
+        assert text == reference_csv(RunRecord, records)
+        assert read_records_csv(text) == records
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
@@ -649,6 +687,30 @@ class TestRecordsCsv:
         bad = "\n".join([header, first, ",".join(row)]) + "\n"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_records_csv(bad)
+
+
+# a mean or ratio, signed zeros among them; a ratio may also be None, when
+# its SN mean is 0
+SCATTER_NUMBERS = st.floats() | st.sampled_from([0.0, -0.0, 1.0, 1e-05])
+
+
+class TestScatterCsv:
+    @given(st.lists(st.builds(
+        ConfigStrategyRow, st.text(), st.text(), SCATTER_NUMBERS,
+        SCATTER_NUMBERS, st.none() | SCATTER_NUMBERS,
+        st.none() | SCATTER_NUMBERS), max_size=6))
+    def test_bytes_equal_a_csv_writer(self, rows):
+        assert written(write_scatter_csv, ComparisonSummary(rows, [])) == (
+            reference_csv(ConfigStrategyRow, rows))
+
+    @pytest.mark.parametrize("text", CSV_TEXTS)
+    def test_quoted_ids_none_and_signed_zeros_equal_a_csv_writer(self, text):
+        rows = [ConfigStrategyRow(text, "SN", 0.0, -0.0, None, None),
+                ConfigStrategyRow(text, text, -0.0, 0.0, 0.0, -0.0),
+                ConfigStrategyRow("c", text, 1.5, 2.0, None, 1.25),
+                ConfigStrategyRow(text, "SQ_1PS", 0.0, 1.5, -0.0, None)]
+        assert written(write_scatter_csv, ComparisonSummary(rows, [])) == (
+            reference_csv(ConfigStrategyRow, rows))
 
 
 class TestDeriveRng:
