@@ -127,8 +127,17 @@ def cmd_grid(args) -> int:
     records = run_grid(spec, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "records.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_records_csv(records, fh)
+    # written in full beside it, then renamed: a failed write leaves no
+    # partial records.csv for `summarize` to read as a smaller grid
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            write_records_csv(records, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     print(f"{len(records)} run records -> {path}")
     return 0
 

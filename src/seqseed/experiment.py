@@ -25,6 +25,7 @@ import hashlib
 import io
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
@@ -235,23 +236,32 @@ def _block_records(spec: GridSpec,
                    block: Tuple[str, float]) -> List[RunRecord]:
     """The records of one (graph, pp) block, in config order: configs by
     sp, then ranking; within one, SN and then the strategies as listed;
-    within one, by run id. Each final state becomes its record at once."""
+    within one, by run id. Each final state becomes its record at once.
+
+    Each config's first record slot and ranking name are found once, and
+    `t_reach_csn` and `coverage_at_tsn` are read straight off the state's
+    `cumulative`, as `first_step_reaching` and `cumulative_at` would give
+    them: a final state has injected a seed at step 0, so `cumulative` is
+    not empty, and t_sn >= 1."""
     name, pp = block
     labels = ["SN"] + [s.label for s in spec.strategies if s.kind != "SN"]
-    column = {label: i for i, label in enumerate(labels)}
-    position = {config_id(name, pp, sp, method): i for i, (sp, method)
-                in enumerate(product(spec.sp_values, spec.rankings))}
     reps = spec.replications
-    records: List[Optional[RunRecord]] = [None] * (len(position)
-                                                   * len(labels) * reps)
+    column = {label: i * reps for i, label in enumerate(labels)}
+    width = len(labels) * reps
+    slots = {config_id(name, pp, sp, method): (i * width, method.value)
+             for i, (sp, method)
+             in enumerate(product(spec.sp_values, spec.rankings))}
+    records: List[Optional[RunRecord]] = [None] * (len(slots) * width)
     for cfg, label, r, state in run_block(spec, name, dict(spec.graphs)[name],
                                           pp, rankings):
-        slot = (position[cfg.cid] * len(labels) + column[label]) * reps + r
-        records[slot] = RunRecord(
-            cfg.cid, name, pp, cfg.sp, cfg.method.value, label, r,
-            state.coverage, state.duration,
-            state.first_step_reaching(cfg.mean_c_sn),
-            state.cumulative_at(cfg.t_sn), state.forfeited)
+        base, ranking = slots[cfg.cid]
+        cum = state.cumulative
+        last = len(cum) - 1
+        reach = bisect_left(cum, cfg.mean_c_sn)
+        records[base + column[label] + r] = RunRecord(
+            cfg.cid, name, pp, cfg.sp, ranking, label, r,
+            state.coverage, state.duration, reach if reach <= last else None,
+            cum[cfg.t_sn if cfg.t_sn < last else last], state.forfeited)
     return records
 
 
@@ -319,8 +329,14 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
     a repeated (config_id, strategy, run_id), or a (config_id, strategy)
     whose run ids differ from its SN block's, raises ValueError."""
     by_config: Dict[str, Dict[str, List[RunRecord]]] = {}
-    for rec in records:
-        by_config.setdefault(rec.config_id, {}).setdefault(rec.strategy, []).append(rec)
+    for rec in records:  # each key looked up first: no dict or list to drop
+        block = by_config.get(rec.config_id)
+        if block is None:
+            block = by_config[rec.config_id] = {}
+        runs = block.get(rec.strategy)
+        if runs is None:
+            runs = block[rec.strategy] = []
+        runs.append(rec)
     if not by_config:
         raise ValueError("no records to summarize")
     labels = {strategy for block in by_config.values() for strategy in block}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
 from operator import mul, sub, truediv
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .graphs import Graph
 
@@ -42,10 +42,15 @@ class RankingMethod(Enum):
 
 @dataclass
 class Ranking:
-    """A full ordering of the nodes, best first, with the per-node scores."""
+    """A full ordering of the nodes, best first, with the per-node scores.
+    A pagerank or eigenvector ranking keeps its power iteration's count and
+    convergence; they are None for the other methods and for scores given
+    precomputed."""
     method: RankingMethod
     order: List[int]
     score: List[float]
+    iterations: Optional[int] = None
+    converged: Optional[bool] = None
 
 
 @dataclass
@@ -126,12 +131,16 @@ def _degree2_scores(graph: Graph) -> List[float]:
             for v in range(graph.node_count)]
 
 
-def method_scores(graph: Graph, method: RankingMethod) -> List[float]:
-    """Raw scores for a deterministic (non-random) ranking method."""
+def _scores(graph: Graph, method: RankingMethod
+            ) -> Tuple[List[float], Optional[int], Optional[bool]]:
+    """Raw scores for a deterministic (non-random) ranking method, with
+    power iteration's count and convergence (None for a degree method).
+    Warns when power iteration did not converge."""
     if method is RankingMethod.DEGREE:
-        return [float(graph.degree(v)) for v in range(graph.node_count)]
+        return ([float(graph.degree(v)) for v in range(graph.node_count)],
+                None, None)
     if method is RankingMethod.DEGREE2:
-        return _degree2_scores(graph)
+        return _degree2_scores(graph), None, None
     if method is RankingMethod.PAGERANK:
         result = pagerank_scores(graph)
     elif method is RankingMethod.EIGENVECTOR:
@@ -141,8 +150,13 @@ def method_scores(graph: Graph, method: RankingMethod) -> List[float]:
     if not result.converged:
         warnings.warn(f"{method.value} power iteration did not converge in "
                       f"{result.iterations} iterations", RuntimeWarning,
-                      stacklevel=2)
-    return result.scores
+                      stacklevel=3)
+    return result.scores, result.iterations, result.converged
+
+
+def method_scores(graph: Graph, method: RankingMethod) -> List[float]:
+    """Raw scores for a deterministic (non-random) ranking method."""
+    return _scores(graph, method)[0]
 
 
 def rank(graph: Graph, method: RankingMethod, rng,
@@ -150,10 +164,11 @@ def rank(graph: Graph, method: RankingMethod, rng,
     """Rank all nodes by `method`, breaking score ties uniformly at random.
 
     `scores` may carry precomputed method scores to skip recomputation; when
-    None they come from `method_scores`. Ties are broken by one shuffle of
-    all node ids drawn from `rng`, tied nodes taking the order of their
-    shuffled ids; a ranking whose scores all differ draws nothing. RANDOM is
-    one shuffle of the nodes.
+    None they are computed as `method_scores` computes them, and the ranking
+    keeps power iteration's count and convergence. Ties are broken by one
+    shuffle of all node ids drawn from `rng`, tied nodes taking the order of
+    their shuffled ids; a ranking whose scores all differ draws nothing.
+    RANDOM is one shuffle of the nodes.
 
     Raises ValueError naming the method when `scores` does not hold one
     value per node or holds a NaN, which has no place in a descending order.
@@ -166,8 +181,9 @@ def rank(graph: Graph, method: RankingMethod, rng,
         for pos, v in enumerate(order):
             score[v] = float(n - pos)
         return Ranking(method, order, score)
+    iterations = converged = None
     if scores is None:
-        scores = method_scores(graph, method)
+        scores, iterations, converged = _scores(graph, method)
     if len(scores) != n:
         raise ValueError(f"{method.value} scores: {len(scores)} values for "
                          f"{n} nodes")
@@ -180,7 +196,7 @@ def rank(graph: Graph, method: RankingMethod, rng,
         order.sort(key=tiebreak.__getitem__)
     # a stable sort, reversed or not, keeps tied nodes in tie-break order
     order.sort(key=scores.__getitem__, reverse=True)
-    return Ranking(method, order, scores)
+    return Ranking(method, order, scores, iterations, converged)
 
 
 def write_ranking_csv(graph: Graph, ranking: Ranking, out) -> None:

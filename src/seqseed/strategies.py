@@ -151,13 +151,19 @@ def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
                 ends: List[Tuple[int, int]]
                 ) -> Iterator[Tuple[int, DiffusionState]]:
     """The stage loop. Inject each stage's batch, then wait one step or until
-    diffusion stops; one kernel call per stage. A batch is the best inactive
-    nodes of the order or, `buffered`, the inactive nodes among the stage's
-    positions of the order, banking the rest. At each budget's checkpoint
-    `(q, n)` from `_plan`, finish n's run: when buffered, inject the
-    inactive nodes among its positions up to n and wait until diffusion
-    stops; then spend what the budget has left on the best inactive nodes,
-    wait until diffusion stops, and yield `(n, final state)`.
+    diffusion stops. A batch is the best inactive nodes of the order or,
+    `buffered`, the inactive nodes among the stage's positions of the order,
+    banking the rest. At each budget's checkpoint `(q, n)` from `_plan`,
+    finish n's run: when buffered, inject the inactive nodes among its
+    positions up to n and wait until diffusion stops; then spend what the
+    budget has left on the best inactive nodes, wait until diffusion stops,
+    and yield `(n, final state)`.
+
+    One rule keeps the kernel calls to those that can change a state:
+    `advance` is called only with seeds to inject or a frontier to step, and
+    `_take` only while the budget has seeds left to place. So a stage with an
+    empty batch and no frontier makes no call, and a buffered checkpoint
+    that banked nothing spends nothing.
 
     The last budget finishes on `state` itself and any other on a copy, so
     the loop goes on from its checkpoint. Once every node is active, the
@@ -174,10 +180,13 @@ def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
             e += 1
             final = state.copy() if e < len(ends) else state
             if buffered:
-                advance(final, live, UNTIL_STOP,
-                        [v for v in order[cursor:n] if not final.flags[v]])
-            batch, _ = _take(order, final.flags, cursor, n - len(final.seeds))
-            advance(final, live, UNTIL_STOP, batch)
+                batch = [v for v in order[cursor:n] if not final.flags[v]]
+                if batch or final.frontier:
+                    advance(final, live, UNTIL_STOP, batch)
+            left = n - len(final.seeds)
+            batch = _take(order, final.flags, cursor, left)[0] if left else []
+            if batch or final.frontier:
+                advance(final, live, UNTIL_STOP, batch)
             final.forfeited = n - len(final.seeds)
             yield n, final
         if e == len(ends):
@@ -188,7 +197,8 @@ def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
             cursor = end
         else:
             batch, cursor = _take(order, flags, cursor, sizes[q])
-        advance(state, live, wait, batch)
+        if batch or state.frontier:
+            advance(state, live, wait, batch)
 
 
 def run_on_worlds(graph: Graph, ranking: Ranking, spec: StrategySpec,

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from seqseed import experiment
+from seqseed import cli, experiment
 from seqseed.cli import main
 from seqseed.config import ConfigError, load_grid_config
 from seqseed.experiment import RECORD_COLUMNS, derive_rng, run_grid
@@ -485,6 +485,22 @@ class TestGridAndSummarize:
         assert code == 1
         assert "config ba|pp=0.1|sp=0.05|degree failed: injected failure" in err
         assert not (tmp_path / "out" / "records.csv").exists()
+
+    def test_failed_write_leaves_no_records(self, tmp_path, capsys,
+                                            monkeypatch):
+        """A write that fails partway leaves neither a partial records.csv
+        nor its temp file."""
+        def write_records_csv(records, out):
+            experiment.write_records_csv(records[:12], out)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_records_csv", write_records_csv)
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CONFIG))
+        code, out, err = run_cli(["grid", "--config", str(cfg),
+                                  "--out-dir", str(tmp_path / "out")], capsys)
+        assert (code, out, err) == (1, "", "error: disk full\n")
+        assert os.listdir(tmp_path / "out") == []
 
     @pytest.mark.parametrize("entry, message", BAD_GRAPHS, ids=BAD_GRAPH_IDS)
     def test_bad_graph_exits_nonzero(self, tmp_path, capsys, entry, message):

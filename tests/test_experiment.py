@@ -247,15 +247,16 @@ class TestRunGridJobs:
 
     def test_one_score_order_per_graph_and_method(self, monkeypatch):
         """A grid process scores each (graph, method) once, for every pp and
-        sp it ranks at, and never for the random ranking."""
+        sp it ranks at, and never for the random ranking. `rank` scores
+        through the helper `method_scores` shares, so that is counted."""
         calls = Counter()
-        real = ranking.method_scores
+        real = ranking._scores
 
-        def method_scores(graph, method):
+        def scores(graph, method):
             calls[graph, method] += 1
             return real(graph, method)
 
-        monkeypatch.setattr(ranking, "method_scores", method_scores)
+        monkeypatch.setattr(ranking, "_scores", scores)
         spec = dataclasses.replace(pinned_grid(), rankings=[
             RankingMethod.RANDOM, RankingMethod.DEGREE, RankingMethod.PAGERANK])
         run_grid(spec, jobs=1)

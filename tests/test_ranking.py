@@ -229,6 +229,41 @@ def test_unconverged_power_iteration_warns(monkeypatch, method, scorer):
         assert method_scores(g, method) == [0.25] * 4
 
 
+@pytest.mark.parametrize("method, scorer", [
+    (RankingMethod.PAGERANK, "pagerank_scores"),
+    (RankingMethod.EIGENVECTOR, "eigenvector_scores")])
+def test_unconverged_ranking_keeps_it_and_warns(monkeypatch, method, scorer):
+    g = cycle(4)
+    monkeypatch.setattr(ranking, scorer,
+                        lambda graph: PowerIterationResult([0.25] * 4, 1000, False))
+    with pytest.warns(RuntimeWarning,
+                      match=f"{method.value} power iteration did not "
+                            f"converge in 1000 iterations"):
+        r = rank(g, method, random.Random(0))
+    assert (r.iterations, r.converged) == (1000, False)
+    assert r.score == [0.25] * 4
+
+
+def test_ranking_keeps_power_iteration_result():
+    """A pagerank or eigenvector ranking carries its power iteration's count
+    and convergence; the degree methods, random, and precomputed scores carry
+    None."""
+    g = generate_ba(60, 2, random.Random(4))
+    for method, scorer in ((RankingMethod.PAGERANK, pagerank_scores),
+                           (RankingMethod.EIGENVECTOR, eigenvector_scores)):
+        result = scorer(g)
+        r = rank(g, method, random.Random(0))
+        assert (r.iterations, r.converged) == (result.iterations, True)
+        assert r.score == result.scores
+        given_scores = rank(g, method, random.Random(0), scores=result.scores)
+        assert (given_scores.iterations, given_scores.converged) == (None, None)
+        assert given_scores.order == r.order
+    for method in (RankingMethod.DEGREE, RankingMethod.DEGREE2,
+                   RankingMethod.RANDOM):
+        r = rank(g, method, random.Random(0))
+        assert (r.iterations, r.converged) == (None, None)
+
+
 def test_converged_power_iteration_is_silent(recwarn):
     g = cycle(5)
     for method in (RankingMethod.PAGERANK, RankingMethod.EIGENVECTOR):

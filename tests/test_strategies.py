@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqseed.diffusion import sample_world
+from seqseed.diffusion import advance, sample_world
 from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
                             load_edge_list)
 from seqseed.ranking import Ranking, RankingMethod, rank
@@ -476,6 +476,38 @@ class TestCheckpoints:
             for n, state in got:
                 (want,) = per_config_states(g, r, spec, n, [live])
                 assert state == want, (spec.label, n)
+
+    @pytest.mark.parametrize("label, budgets, pp, calls", [
+        # per stage and per checkpoint, one buffered injection; no spend,
+        # since a pp = 0 world leaves every position inactive to bank nothing
+        ("SQ_2PS_B", [2, 4, 6], 0.0, 5),
+        # the first stage saturates the graph: nothing left to inject or step
+        ("SQ_1PS_R", [2, 3, 4], 1.0, 1),
+    ], ids=["buffered-empty-bank", "saturated"])
+    def test_kernel_called_only_when_it_changes_the_state(
+            self, monkeypatch, label, budgets, pp, calls):
+        """`advance` is called only with seeds to inject or a frontier to
+        step, and every yielded state is still the per-budget run's."""
+        from seqseed import strategies
+
+        g = generate_ba(12, 2, random.Random(3))
+        live = sample_world(g, pp, random.Random(0))
+        r = degree_ranking(g)
+        spec = StrategySpec.parse(label)
+        want = {n: list(per_config_states(g, r, spec, n, [live]))
+                for n in budgets}
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return advance(*args)
+
+        monkeypatch.setattr(strategies, "advance", counted)
+        got = list(run_on_worlds(g, r, spec, budgets, [live]))
+        assert len(made) == calls
+        assert [n for n, _ in got] == budgets
+        for n, state in got:
+            assert [state] == want[n], n
 
     def test_one_budget_kinds_reject_several(self):
         """TSN stage sizes depend on the budget, so no run serves two."""
