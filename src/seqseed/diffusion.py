@@ -21,9 +21,8 @@ frontier, so the frontier is never sorted.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .graphs import Graph, ParameterError, skip_sample
 
@@ -81,12 +80,6 @@ class DiffusionState:
         """Cumulative coverage at the end of `step` (0 before step 0)."""
         cum = self.cumulative
         return cum[min(step, len(cum) - 1)] if cum and step >= 0 else 0
-
-    def first_step_reaching(self, coverage: float) -> Optional[int]:
-        """First step whose cumulative coverage reaches `coverage`, or None."""
-        # cumulative never decreases, so bisection finds it
-        step = bisect_left(self.cumulative, coverage)
-        return step if step < len(self.cumulative) else None
 
 
 # A live-edge world: live[u] lists, ascending, the neighbors v whose directed

@@ -240,9 +240,10 @@ def _block_records(spec: GridSpec,
 
     Each config's first record slot and ranking name are found once, and
     `t_reach_csn` and `coverage_at_tsn` are read straight off the state's
-    `cumulative`, as `first_step_reaching` and `cumulative_at` would give
-    them: a final state has injected a seed at step 0, so `cumulative` is
-    not empty, and t_sn >= 1."""
+    `cumulative`: the first step whose count reaches SN's mean coverage, by
+    bisection since the counts never fall, and the count at t_sn, as
+    `cumulative_at` would give it. A final state has injected a seed at
+    step 0, so `cumulative` is not empty, and t_sn >= 1."""
     name, pp = block
     labels = ["SN"] + [s.label for s in spec.strategies if s.kind != "SN"]
     reps = spec.replications

@@ -57,8 +57,8 @@ class StrategySpec:
     @property
     def shares_budgets(self) -> bool:
         """Every kind but TSN has stage sizes that do not depend on the
-        budget, so a run at a smaller budget follows a larger one's run up
-        to its last stage: one run serves every budget."""
+        budget, so a run at a smaller budget follows a larger one's run
+        through its last full stage: one run serves every budget."""
         return not self.kind.startswith("SQ_TSN")
 
     @property
@@ -110,10 +110,11 @@ def _plan(spec: StrategySpec, budgets: List[int],
         for n in budgets:
             if not 1 <= k <= n:
                 raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-        # n's run takes stages of k seeds (or positions, for _B) while more
-        # than k remain, then its last one at its checkpoint
-        return ([k] * ((budgets[-1] - 1) // k),
-                [((n - 1) // k, n) for n in budgets])
+        # n's run takes its n // k full stages of k seeds (or positions, for
+        # _B), then spends the rest, if any, at its checkpoint and waits until
+        # diffusion stops. `advance` steps one step at a time, so a full last
+        # stage's one-step wait followed by that wait leaves the same state
+        return [k] * (budgets[-1] // k), [(n // k, n) for n in budgets]
     if len(budgets) != 1:
         raise ParameterError(f"{spec.kind} runs one budget at a time, "
                              f"got {budgets}")

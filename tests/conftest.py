@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,14 @@ def components(graph):
     return out
 
 
+def first_step_reaching(state, coverage):
+    """The first step whose cumulative coverage in `state` reaches
+    `coverage`, or None."""
+    # cumulative never decreases, so bisection finds it
+    step = bisect_left(state.cumulative, coverage)
+    return step if step < len(state.cumulative) else None
+
+
 def configs(spec):
     """The (graph name, pp, sp, ranking method) of every configuration of a
     grid, in config order."""
@@ -238,7 +247,7 @@ def per_config_records(spec):
         cid = config_id(name, pp, sp, method)
         records += [RunRecord(cid, name, pp, sp, method.value, label, r,
                               t.coverage, t.duration,
-                              t.first_step_reaching(mean_c),
+                              first_step_reaching(t, mean_c),
                               t.cumulative_at(t_sn), t.forfeited)
                     for label, states in runs for r, t in enumerate(states)]
     return records

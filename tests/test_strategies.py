@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,8 @@ from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
 from seqseed.ranking import Ranking, RankingMethod, rank
 from seqseed.strategies import StrategySpec, run_on_worlds, run_strategy, seed_count
 
-from conftest import exact_process_expectation, per_config_states
+from conftest import (exact_process_expectation, first_step_reaching,
+                      per_config_states)
 
 
 def degree_ranking(g, seed=0):
@@ -414,7 +416,7 @@ class TestSharedWorlds:
             assert active_set(t) == closure(live, t.seeds)
             for c in range(t.coverage + 2):
                 reached = [s for s, cs in enumerate(cum) if cs >= c]
-                assert t.first_step_reaching(c) == (
+                assert first_step_reaching(t, c) == (
                     reached[0] if reached else None)
             assert [t.cumulative_at(s) for s in range(-1, len(cum) + 1)] == (
                 [0] + cum + [cum[-1]])
@@ -459,6 +461,28 @@ def budget_cases(draw):
     return g, live, r, budgets + [n], k
 
 
+@st.composite
+def divided_budget_cases(draw):
+    """A world case with a set of budgets, each a multiple of its k."""
+    g, live, r, _, k, _ = draw(world_cases())
+    multiples = draw(st.lists(st.integers(1, g.node_count // k), min_size=1,
+                              max_size=4))
+    return g, live, r, sorted({k * m for m in multiples}), k
+
+
+def counted_run(g, r, spec, budgets, live):
+    """What `run_on_worlds` yields for `budgets` on the one world `live`,
+    with the number of `advance` and `_take` calls it made."""
+    from seqseed import strategies
+
+    with mock.patch.object(strategies, "advance",
+                           wraps=strategies.advance) as advanced, \
+            mock.patch.object(strategies, "_take",
+                              wraps=strategies._take) as taken:
+        got = list(run_on_worlds(g, r, spec, budgets, [live]))
+    return got, advanced.call_count, taken.call_count
+
+
 class TestCheckpoints:
     """Every kind but TSN runs once at the largest budget; each smaller
     budget's final state is finished from a checkpoint of that run."""
@@ -477,34 +501,49 @@ class TestCheckpoints:
                 (want,) = per_config_states(g, r, spec, n, [live])
                 assert state == want, (spec.label, n)
 
-    @pytest.mark.parametrize("label, budgets, pp, calls", [
-        # per stage and per checkpoint, one buffered injection; no spend,
-        # since a pp = 0 world leaves every position inactive to bank nothing
-        ("SQ_2PS_B", [2, 4, 6], 0.0, 5),
-        # the first stage saturates the graph: nothing left to inject or step
-        ("SQ_1PS_R", [2, 3, 4], 1.0, 1),
-    ], ids=["buffered-empty-bank", "saturated"])
-    def test_kernel_called_only_when_it_changes_the_state(
-            self, monkeypatch, label, budgets, pp, calls):
-        """`advance` is called only with seeds to inject or a frontier to
-        step, and every yielded state is still the per-budget run's."""
-        from seqseed import strategies
+    @settings(max_examples=300, deadline=None)
+    @given(divided_budget_cases())
+    def test_one_take_per_stage_when_k_divides_every_budget(self, case):
+        """Each budget that k divides ends right after its last full stage,
+        so `_take` runs once per stage of the largest budget's run, plus
+        once at each checkpoint of a budget that forfeits seeds."""
+        g, live, r, budgets, k = case
+        for spec in (StrategySpec("SQ_kPS", k=k),
+                     StrategySpec("SQ_kPS_R", k=k)):
+            got, _, takes = counted_run(g, r, spec, budgets, live)
+            assert takes == budgets[-1] // k + sum(
+                state.forfeited > 0 for _, state in got), spec.label
+            for n, state in got:
+                assert [state] == list(
+                    per_config_states(g, r, spec, n, [live])), (spec.label, n)
 
+    @pytest.mark.parametrize("label, budgets, pp, advances, takes", [
+        # one buffered injection per stage and none at a checkpoint: a pp = 0
+        # world leaves no frontier after a stage's step, and every position
+        # inactive to bank nothing
+        ("SQ_2PS_B", [2, 4, 6], 0.0, 3, 0),
+        # one batch per stage; every budget ends after a full stage with
+        # nothing left to place and no frontier
+        ("SQ_1PS", [2, 4, 6], 0.0, 6, 6),
+        ("SQ_1PS_R", [2, 4, 6], 0.0, 6, 6),
+        # the first stage saturates the graph: nothing left to inject or
+        # step, though each later stage and checkpoint looks for a seed
+        ("SQ_1PS_R", [2, 3, 4], 1.0, 1, 7),
+    ], ids=["buffered-empty-bank", "one-per-stage", "one-per-stage-R",
+            "saturated"])
+    def test_kernel_called_only_when_it_changes_the_state(
+            self, label, budgets, pp, advances, takes):
+        """`advance` is called only with seeds to inject or a frontier to
+        step, and `_take` only while the budget has seeds left to place;
+        every yielded state is still the per-budget run's."""
         g = generate_ba(12, 2, random.Random(3))
         live = sample_world(g, pp, random.Random(0))
         r = degree_ranking(g)
         spec = StrategySpec.parse(label)
         want = {n: list(per_config_states(g, r, spec, n, [live]))
                 for n in budgets}
-        made = []
-
-        def counted(*args):
-            made.append(args)
-            return advance(*args)
-
-        monkeypatch.setattr(strategies, "advance", counted)
-        got = list(run_on_worlds(g, r, spec, budgets, [live]))
-        assert len(made) == calls
+        got, made, taken = counted_run(g, r, spec, budgets, live)
+        assert (made, taken) == (advances, takes)
         assert [n for n, _ in got] == budgets
         for n, state in got:
             assert [state] == want[n], n
