@@ -24,16 +24,35 @@ from .strategies import StrategySpec
 DEFAULT_SEED = 1729
 
 
+def _warn_dropped(g, where: str) -> None:
+    """Say on stderr what lines the edge list of `g` dropped, if any."""
+    if g.dropped_self_loops or g.dropped_duplicates:
+        print(f"warning: {where}: dropped {g.dropped_self_loops} self-loops "
+              f"and {g.dropped_duplicates} duplicate edges", file=sys.stderr)
+
+
 def _load_graph(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             g = load_edge_list(fh)
         except (GraphParseError, UnicodeDecodeError) as exc:
             raise GraphParseError(f"{path}: {exc}") from None
-    if g.dropped_self_loops or g.dropped_duplicates:
-        print(f"warning: dropped {g.dropped_self_loops} self-loops and "
-              f"{g.dropped_duplicates} duplicate edges", file=sys.stderr)
+    _warn_dropped(g, path)
     return g
+
+
+def _write_table(path: str, write, table) -> None:
+    """`write(table, fh)` to a temp file beside `path`, renamed once complete:
+    a failed write leaves no partial table to be read as a smaller one."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            write(table, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _seed_from(args) -> int:
@@ -124,20 +143,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_grid(args) -> int:
     spec = load_grid_config_file(args.config)
+    for name, g in spec.graphs:
+        _warn_dropped(g, f"graph {name!r}")
     records = run_grid(spec, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "records.csv")
-    # written in full beside it, then renamed: a failed write leaves no
-    # partial records.csv for `summarize` to read as a smaller grid
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            write_records_csv(records, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    _write_table(path, write_records_csv, records)
     print(f"{len(records)} run records -> {path}")
     return 0
 
@@ -149,10 +160,8 @@ def cmd_summarize(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     summary_path = os.path.join(args.out_dir, "summary.csv")
     scatter_path = os.path.join(args.out_dir, "ratio_scatter.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        write_summary_csv(summary, fh)
-    with open(scatter_path, "w", encoding="utf-8", newline="") as fh:
-        write_scatter_csv(summary, fh)
+    _write_table(summary_path, write_summary_csv, summary)
+    _write_table(scatter_path, write_scatter_csv, summary)
     print(f"summary -> {summary_path}")
     print(f"ratio scatter -> {scatter_path}")
     return 0

@@ -31,14 +31,12 @@ from .graphs import Graph, ParameterError, skip_sample
 class DiffusionState:
     """The state of one run, which is also its trace: `cumulative[s]` is the
     active count at the end of step s and `injected[s]` the seeds injected
-    at step s, for steps 0 to the current one, and `seeds` lists the seeds
-    in injection order. `coverage` is the active count, `duration` the last
+    at step s, for steps 0 to the current one (step 0's from the start),
+    and `seeds` lists the seeds in injection order. `duration` is the last
     step that activated a node and `forfeited` the budget a strategy could
     not place. States compare equal when all their fields do."""
     flags: bytearray
-    coverage: int
     frontier: List[int]
-    step: int
     duration: int
     cumulative: List[int]
     injected: List[int]
@@ -47,12 +45,10 @@ class DiffusionState:
 
     def __init__(self, graph: Graph):
         self.flags = bytearray(graph.node_count)
-        self.coverage = 0
         self.frontier = []
-        self.step = 0
         self.duration = 0
-        self.cumulative = []
-        self.injected = []
+        self.cumulative = [0]
+        self.injected = [0]
         self.seeds = []
         self.forfeited = 0
 
@@ -61,15 +57,18 @@ class DiffusionState:
         list, which `advance` replaces but never changes."""
         other = DiffusionState.__new__(DiffusionState)
         other.flags = self.flags[:]
-        other.coverage = self.coverage
         other.frontier = self.frontier
-        other.step = self.step
         other.duration = self.duration
         other.cumulative = self.cumulative[:]
         other.injected = self.injected[:]
         other.seeds = self.seeds[:]
         other.forfeited = self.forfeited
         return other
+
+    @property
+    def coverage(self) -> int:
+        """The active count, which is the current step's count."""
+        return self.cumulative[-1]
 
     @property
     def last_activity(self) -> int:
@@ -79,7 +78,7 @@ class DiffusionState:
     def cumulative_at(self, step: int) -> int:
         """Cumulative coverage at the end of `step` (0 before step 0)."""
         cum = self.cumulative
-        return cum[min(step, len(cum) - 1)] if cum and step >= 0 else 0
+        return cum[min(step, len(cum) - 1)] if step >= 0 else 0
 
 
 # A live-edge world: live[u] lists, ascending, the neighbors v whose directed
@@ -123,11 +122,11 @@ def advance(state: DiffusionState, live: World, steps: int,
     """
     flags = state.flags
     frontier = state.frontier
-    count = state.coverage
-    step = state.step
-    last = state.duration
     cumulative = state.cumulative
     injected = state.injected
+    count = cumulative[-1]
+    step = len(cumulative) - 1
+    last = state.duration
     if seeds:
         for i, s in enumerate(seeds):
             if flags[s]:
@@ -141,12 +140,8 @@ def advance(state: DiffusionState, live: World, steps: int,
         state.seeds.extend(seeds)
         frontier = frontier + seeds if frontier else seeds
         last = step
-        if cumulative:  # steps 0..step all have their entry already
-            cumulative[-1] = count
-            injected[-1] += len(seeds)
-        else:
-            cumulative.append(count)
-            injected.append(len(seeds))
+        cumulative[-1] = count
+        injected[-1] += len(seeds)
     while frontier and steps:
         steps -= 1
         newly: List[int] = []
@@ -163,8 +158,6 @@ def advance(state: DiffusionState, live: World, steps: int,
         injected.append(0)
         frontier = newly
     state.frontier = frontier
-    state.coverage = count
-    state.step = step
     state.duration = last
     return state
 

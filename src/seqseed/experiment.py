@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import math
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -37,7 +36,7 @@ from .diffusion import DiffusionState, World, sample_world
 from .graphs import Graph, ParameterError
 from .ranking import Ranking, RankingMethod, rank
 from .stats import hodges_lehmann, wilcoxon_signed_rank
-from .strategies import StrategySpec, run_on_worlds, seed_count
+from .strategies import StrategySpec, round_half_up, run_on_worlds, seed_count
 
 
 def derive_rng(master_seed: int, *keys) -> random.Random:
@@ -122,10 +121,6 @@ class RunRecord:
     forfeited: int
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 _SN = StrategySpec("SN")  # built once for every SN block
 
 
@@ -198,7 +193,7 @@ def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
             for cfg in configs:
                 runs = sn[cfg.n]
                 cfg.mean_c_sn = sum(t.coverage for t in runs) / len(runs)
-                cfg.t_sn = max(1, _round_half_up(
+                cfg.t_sn = max(1, round_half_up(
                     sum(t.duration for t in runs) / len(runs)))
                 for r, state in enumerate(runs):
                     yield cfg, "SN", r, state
@@ -242,8 +237,7 @@ def _block_records(spec: GridSpec,
     `t_reach_csn` and `coverage_at_tsn` are read straight off the state's
     `cumulative`: the first step whose count reaches SN's mean coverage, by
     bisection since the counts never fall, and the count at t_sn, as
-    `cumulative_at` would give it. A final state has injected a seed at
-    step 0, so `cumulative` is not empty, and t_sn >= 1."""
+    `cumulative_at` would give it (t_sn >= 1); the coverage is the last."""
     name, pp = block
     labels = ["SN"] + [s.label for s in spec.strategies if s.kind != "SN"]
     reps = spec.replications
@@ -261,7 +255,7 @@ def _block_records(spec: GridSpec,
         reach = bisect_left(cum, cfg.mean_c_sn)
         records[base + column[label] + r] = RunRecord(
             cfg.cid, name, pp, cfg.sp, ranking, label, r,
-            state.coverage, state.duration, reach if reach <= last else None,
+            cum[last], state.duration, reach if reach <= last else None,
             cum[cfg.t_sn if cfg.t_sn < last else last], state.forfeited)
     return records
 

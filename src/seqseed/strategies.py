@@ -84,11 +84,16 @@ class StrategySpec:
         return cls(kind, k=k, t_sn=t_sn)
 
 
+def round_half_up(x: float) -> int:
+    """x rounded to the nearest int, halves up (not to even, as `round`)."""
+    return math.floor(x + 0.5)
+
+
 def seed_count(graph: Graph, sp: float) -> int:
     """Seed budget n = max(1, round(sp * N)) for a seeding percentage sp."""
     if not 0.0 < sp <= 1.0:
         raise ParameterError("sp must be in (0, 1]")
-    return max(1, math.floor(sp * graph.node_count + 0.5))
+    return max(1, round_half_up(sp * graph.node_count))
 
 
 def _check_budget(graph: Graph, n: int) -> None:

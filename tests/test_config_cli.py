@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 
@@ -212,6 +213,16 @@ class TestRank:
         got = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert got == [g.labels[v] for v in want.order]
         assert got[:10] == ["2", "1", "6", "8", "0", "5", "14", "26", "7", "9"]
+
+    def test_rank_warns_of_dropped_lines(self, tmp_path, capsys):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("a b\nb c\na a\nb a\n")
+        code, _, err = run_cli(["rank", "--graph", str(gpath), "--method",
+                                "degree", "--out", str(tmp_path / "r.csv")],
+                               capsys)
+        assert code == 0
+        assert err == (f"warning: {gpath}: dropped 1 self-loops and 1 "
+                       "duplicate edges\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -501,6 +512,41 @@ class TestGridAndSummarize:
                                   "--out-dir", str(tmp_path / "out")], capsys)
         assert (code, out, err) == (1, "", "error: disk full\n")
         assert os.listdir(tmp_path / "out") == []
+
+    def test_failed_summary_write_leaves_no_table(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """A table write that fails partway leaves neither a partial table
+        nor its temp file; the tables written before it stay whole."""
+        def write_scatter_csv(summary, out):
+            full = io.StringIO()
+            experiment.write_scatter_csv(summary, full)
+            out.write(full.getvalue()[:100])
+            raise OSError("disk full")
+
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CONFIG))
+        code, _, _ = run_cli(["grid", "--config", str(cfg),
+                              "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 0
+        monkeypatch.setattr(cli, "write_scatter_csv", write_scatter_csv)
+        code, out, err = run_cli(["summarize", "--records",
+                                  str(tmp_path / "out" / "records.csv"),
+                                  "--out-dir", str(tmp_path / "sum")], capsys)
+        assert (code, out, err) == (1, "", "error: disk full\n")
+        assert os.listdir(tmp_path / "sum") == ["summary.csv"]
+
+    def test_grid_warns_of_dropped_edge_list_lines(self, tmp_path, capsys):
+        (tmp_path / "loops.txt").write_text("a b\nb c\na a\nb a\n")
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(dict(GRID_CONFIG, graphs=[
+            GRID_CONFIG["graphs"][0],
+            {"name": "loops", "type": "edgelist", "path": "loops.txt"}])))
+        code, _, err = run_cli(["grid", "--config", str(cfg),
+                                "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 0
+        assert err == ("warning: graph 'loops': dropped 1 self-loops and 1 "
+                       "duplicate edges\n")
+        assert (tmp_path / "out" / "records.csv").exists()
 
     @pytest.mark.parametrize("entry, message", BAD_GRAPHS, ids=BAD_GRAPH_IDS)
     def test_bad_graph_exits_nonzero(self, tmp_path, capsys, entry, message):

@@ -20,11 +20,16 @@ class TestActivateSeeds:
         assert st.coverage == 6
         assert len(st.frontier) == 6
 
+    def test_new_state_holds_step_zero(self, path3):
+        st = DiffusionState(path3)
+        assert st.cumulative == st.injected == [0] and st.seeds == []
+        assert st.coverage == 0 and st.cumulative_at(0) == 0
+
     def test_inject_nothing_is_noop(self, path3):
         st = DiffusionState(path3)
         activate_seeds(st, [])
-        assert st.coverage == 0
-        assert st.cumulative == [] and st.injected == [] and st.seeds == []
+        assert st == DiffusionState(path3)
+        assert st.coverage == 0 and st.seeds == []
 
     def test_already_active_seed_rejected(self, path3):
         st = DiffusionState(path3)
@@ -132,8 +137,8 @@ class TestIcStep:
     def test_empty_frontier_takes_no_step(self, path3):
         st = DiffusionState(path3)
         advance(st, [[1], [0, 2], [1]], 1)
-        assert st.frontier == []
-        assert st.step == 0 and st.cumulative == []
+        assert st.frontier == [] and len(st.cumulative) - 1 == 0
+        assert st == DiffusionState(path3)
 
 
 class TestRunUntilStop:
@@ -172,7 +177,7 @@ class TestRunUntilStop:
         st = DiffusionState(g)
         activate_seeds(st, [0, 1])
         run_until_stop(st, g, 0.7, random.Random(2))
-        assert st.step <= g.node_count
+        assert len(st.cumulative) - 1 <= g.node_count
 
     def test_monotone_cumulative_coverage(self):
         g = generate_er(40, 0.1, random.Random(12))
@@ -180,9 +185,10 @@ class TestRunUntilStop:
         activate_seeds(st, list(range(4)))
         run_until_stop(st, g, 0.4, random.Random(5))
         cums = st.cumulative
+        steps = len(cums) - 1
         assert cums == sorted(cums)
-        assert len(cums) == st.step + 1 and cums[-1] == st.coverage
-        assert st.injected == [4] + [0] * st.step
+        assert cums[-1] == st.coverage == sum(st.flags)
+        assert st.injected == [4] + [0] * steps
 
     def test_determinism(self):
         g = generate_er(60, 0.06, random.Random(2))
