@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
+from typing import List
 
 from .config import ConfigError, load_grid_config_file
 from .diffusion import DiffusionState
@@ -41,17 +43,22 @@ def _load_graph(path: str):
     return g
 
 
-def _write_table(path: str, write, table) -> None:
-    """`write(table, fh)` to a temp file beside `path`, renamed once complete:
-    a failed write leaves no partial table to be read as a smaller one."""
-    tmp = path + ".tmp"
+def _write_tables(tables) -> None:
+    """The tables of one command, each `(path, write, table)` written by
+    `write(table, fh)` to a temp file beside its path, and renamed only once
+    every one is complete: a failed write leaves no partial table to be read
+    as a smaller one, no table beside an earlier command's, and no temp
+    file."""
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            write(table, fh)
-        os.replace(tmp, path)
+        for path, write, table in tables:
+            with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
+                write(table, fh)
+        for path, _, _ in tables:
+            os.replace(path + ".tmp", path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for path, _, _ in tables:
+            if os.path.exists(path + ".tmp"):
+                os.remove(path + ".tmp")
         raise
 
 
@@ -103,6 +110,13 @@ def _trace_csv(trace: DiffusionState, out) -> None:
         before = cum
 
 
+def _mean_curve_csv(traces: List[DiffusionState], out) -> None:
+    out.write("step,mean_cumulative_coverage\n")
+    for step in range(max(len(t.cumulative) for t in traces)):
+        mean = sum(t.cumulative_at(step) for t in traces) / len(traces)
+        out.write(f"{step},{mean:.6g}\n")
+
+
 def cmd_simulate(args) -> int:
     """Run one configuration as a one-config grid block, on the grid's
     ranking, so its runs are the grid's records for the graph named after
@@ -122,17 +136,14 @@ def cmd_simulate(args) -> int:
         print(f"derived t_sn = {cfg.t_sn} from {args.runs} SN reference runs")
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for run_id, trace in enumerate(traces):
-        with open(os.path.join(args.out_dir, f"trace_{run_id:04d}.csv"),
-                  "w", encoding="utf-8") as fh:
-            _trace_csv(trace, fh)
-    steps = max(len(t.cumulative) for t in traces)
-    with open(os.path.join(args.out_dir, "mean_curve.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("step,mean_cumulative_coverage\n")
-        for step in range(steps):
-            mean = sum(t.cumulative_at(step) for t in traces) / len(traces)
-            fh.write(f"{step},{mean:.6g}\n")
+    _write_tables(
+        [(os.path.join(args.out_dir, f"trace_{run_id:04d}.csv"), _trace_csv,
+          trace) for run_id, trace in enumerate(traces)]
+        + [(os.path.join(args.out_dir, "mean_curve.csv"), _mean_curve_csv,
+            traces)])
+    for name in os.listdir(args.out_dir):  # an earlier run's extra traces
+        if re.fullmatch(r"trace_\d+\.csv", name) and int(name[6:-4]) >= args.runs:
+            os.remove(os.path.join(args.out_dir, name))
     mean_c = sum(t.coverage for t in traces) / len(traces)
     mean_t = sum(t.duration for t in traces) / len(traces)
     print(f"{spec.label} on {args.graph}: n={cfg.n}, pp={args.pp:g}, "
@@ -148,7 +159,7 @@ def cmd_grid(args) -> int:
     records = run_grid(spec, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "records.csv")
-    _write_table(path, write_records_csv, records)
+    _write_tables([(path, write_records_csv, records)])
     print(f"{len(records)} run records -> {path}")
     return 0
 
@@ -160,8 +171,8 @@ def cmd_summarize(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     summary_path = os.path.join(args.out_dir, "summary.csv")
     scatter_path = os.path.join(args.out_dir, "ratio_scatter.csv")
-    _write_table(summary_path, write_summary_csv, summary)
-    _write_table(scatter_path, write_scatter_csv, summary)
+    _write_tables([(summary_path, write_summary_csv, summary),
+                   (scatter_path, write_scatter_csv, summary)])
     print(f"summary -> {summary_path}")
     print(f"ratio scatter -> {scatter_path}")
     return 0

@@ -13,11 +13,12 @@ seeds.
 One kernel, `advance`, takes every step: it injects a batch of seeds at the
 current step, then takes one step, or steps until a step activates nothing.
 `activate_seeds` and `run_until_stop` are entry points over it. The run
-state is the run's trace, and it holds counts per step, not node lists: the
-active count at the end of each step and the seeds injected at each step,
-from step 0 to the last, with the seeds in injection order and the active
-flags. The set a step activates does not depend on the order of the
-frontier, so the frontier is never sorted.
+state is the run's trace alone, and it holds counts per step, not node
+lists: the active count at the end of each step and the seeds injected at
+each step, from step 0 to the last, with the seeds in injection order and
+the active flags. Coverage and duration are read off the counts. The set a
+step activates does not depend on the order of the frontier, so the
+frontier is never sorted.
 """
 from __future__ import annotations
 
@@ -29,28 +30,23 @@ from .graphs import Graph, ParameterError, skip_sample
 
 @dataclass(slots=True, init=False)
 class DiffusionState:
-    """The state of one run, which is also its trace: `cumulative[s]` is the
-    active count at the end of step s and `injected[s]` the seeds injected
-    at step s, for steps 0 to the current one (step 0's from the start),
-    and `seeds` lists the seeds in injection order. `duration` is the last
-    step that activated a node and `forfeited` the budget a strategy could
-    not place. States compare equal when all their fields do."""
+    """The state of one run, which is its trace and nothing else:
+    `cumulative[s]` is the active count at the end of step s and
+    `injected[s]` the seeds injected at step s, for steps 0 to the current
+    one (step 0's from the start), and `seeds` lists the seeds in injection
+    order. States compare equal when all their fields do."""
     flags: bytearray
     frontier: List[int]
-    duration: int
     cumulative: List[int]
     injected: List[int]
     seeds: List[int]
-    forfeited: int
 
     def __init__(self, graph: Graph):
         self.flags = bytearray(graph.node_count)
         self.frontier = []
-        self.duration = 0
         self.cumulative = [0]
         self.injected = [0]
         self.seeds = []
-        self.forfeited = 0
 
     def copy(self) -> "DiffusionState":
         """A state that goes on apart from this one. It shares the frontier
@@ -58,17 +54,25 @@ class DiffusionState:
         other = DiffusionState.__new__(DiffusionState)
         other.flags = self.flags[:]
         other.frontier = self.frontier
-        other.duration = self.duration
         other.cumulative = self.cumulative[:]
         other.injected = self.injected[:]
         other.seeds = self.seeds[:]
-        other.forfeited = self.forfeited
         return other
 
     @property
     def coverage(self) -> int:
         """The active count, which is the current step's count."""
         return self.cumulative[-1]
+
+    @property
+    def duration(self) -> int:
+        """The last step that activated a node, 0 if none did. Only the last
+        step can be quiet: a quiet step empties the frontier, and `advance`
+        takes no step from an empty one until seeds, injected at that same
+        step, make it active."""
+        cum = self.cumulative
+        last = len(cum) - 1
+        return last - 1 if last and cum[last] == cum[last - 1] else last
 
     @property
     def last_activity(self) -> int:
@@ -125,8 +129,6 @@ def advance(state: DiffusionState, live: World, steps: int,
     cumulative = state.cumulative
     injected = state.injected
     count = cumulative[-1]
-    step = len(cumulative) - 1
-    last = state.duration
     if seeds:
         for i, s in enumerate(seeds):
             if flags[s]:
@@ -139,7 +141,6 @@ def advance(state: DiffusionState, live: World, steps: int,
         count += len(seeds)
         state.seeds.extend(seeds)
         frontier = frontier + seeds if frontier else seeds
-        last = step
         cumulative[-1] = count
         injected[-1] += len(seeds)
     while frontier and steps:
@@ -150,15 +151,11 @@ def advance(state: DiffusionState, live: World, steps: int,
                 if not flags[v]:
                     flags[v] = 1
                     newly.append(v)
-        step += 1
-        if newly:
-            count += len(newly)
-            last = step
+        count += len(newly)
         cumulative.append(count)
         injected.append(0)
         frontier = newly
     state.frontier = frontier
-    state.duration = last
     return state
 
 

@@ -237,7 +237,10 @@ def _block_records(spec: GridSpec,
     `t_reach_csn` and `coverage_at_tsn` are read straight off the state's
     `cumulative`: the first step whose count reaches SN's mean coverage, by
     bisection since the counts never fall, and the count at t_sn, as
-    `cumulative_at` would give it (t_sn >= 1); the coverage is the last."""
+    `cumulative_at` would give it (t_sn >= 1). The coverage is the last
+    count, and the duration the step before the last, since a final state
+    ends with one quiet step; the forfeit is the budget less the seeds
+    placed."""
     name, pp = block
     labels = ["SN"] + [s.label for s in spec.strategies if s.kind != "SN"]
     reps = spec.replications
@@ -255,8 +258,9 @@ def _block_records(spec: GridSpec,
         reach = bisect_left(cum, cfg.mean_c_sn)
         records[base + column[label] + r] = RunRecord(
             cfg.cid, name, pp, cfg.sp, ranking, label, r,
-            cum[last], state.duration, reach if reach <= last else None,
-            cum[cfg.t_sn if cfg.t_sn < last else last], state.forfeited)
+            cum[last], last - 1, reach if reach <= last else None,
+            cum[cfg.t_sn if cfg.t_sn < last else last],
+            cfg.n - len(state.seeds))
     return records
 
 

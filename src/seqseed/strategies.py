@@ -2,12 +2,12 @@
 
 All strategies spend at most n seeds, always on the highest-ranked nodes that
 are still inactive at the moment of injection. Budget that cannot be placed
-because every node is already active is forfeited and reported on the run's
-state. A run is a traversal of one live-edge world; `run_on_worlds` checks
-the budgets and plans the stages once, then runs them on each world of a
-list. On the same world every sequential kind ends with an active set
-containing SN's, since each of SN's top-n nodes is seeded by it or active
-when its cursor passes.
+because every node is already active is forfeited: the budget less the
+seeds on the run's state. A run is a traversal of one live-edge world;
+`run_on_worlds` checks the budgets and plans the stages once, then runs them
+on each world of a list. On the same world every sequential kind ends with
+an active set containing SN's, since each of SN's top-n nodes is seeded by
+it or active when its cursor passes.
 
 Every kind runs in one stage loop, `_run_stages`, which ends each budget at
 a checkpoint: after some shared stages, spend what the budget has left and
@@ -193,7 +193,6 @@ def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
             batch = _take(order, final.flags, cursor, left)[0] if left else []
             if batch or final.frontier:
                 advance(final, live, UNTIL_STOP, batch)
-            final.forfeited = n - len(final.seeds)
             yield n, final
         if e == len(ends):
             return

@@ -167,11 +167,12 @@ def star5():
     return load_edge_list("0 1\n0 2\n0 3\n0 4")
 
 
-def per_config_states(graph, ranking, spec, n, worlds, t_sn=None):
-    """Reference: each world's final state of `spec` at the one budget n,
-    planned as that budget's own stages and run stage by stage, the way the
-    grid ran every configuration before budgets became checkpoints of one
-    run. It shares only `advance` and the plan checks with the program."""
+def per_config_runs(graph, ranking, spec, n, worlds, t_sn=None):
+    """Reference: each world's final state of `spec` at the one budget n
+    and the seeds it spent, by its own count, planned as that budget's own
+    stages and run stage by stage, the way the grid ran every configuration
+    before budgets became checkpoints of one run. It shares only `advance`
+    and the plan checks with the program."""
     from seqseed.diffusion import UNTIL_STOP, DiffusionState, advance
 
     if spec.kind.startswith("SQ_kPS"):
@@ -218,14 +219,19 @@ def per_config_states(graph, ranking, spec, n, worlds, t_sn=None):
             spent += run_stages(state, [n - spent], True, live)
         else:
             spent = run_stages(state, sizes, spec.kind.endswith("_R"), live)
-        state.forfeited = n - spent
-        yield state
+        yield state, spent
+
+
+def per_config_states(graph, ranking, spec, n, worlds, t_sn=None):
+    """The final states of `per_config_runs`."""
+    return [state for state, _ in
+            per_config_runs(graph, ranking, spec, n, worlds, t_sn)]
 
 
 def per_config_records(spec):
     """Reference records of a grid: every configuration run on its own, in
     config order, on the grid's worlds and its one ranking per (graph,
-    method), each strategy through `per_config_states`."""
+    method), each strategy through `per_config_runs`."""
     from seqseed.experiment import RunRecord, config_id, derive_rng, sample_worlds
     from seqseed.ranking import rank
     from seqseed.strategies import StrategySpec, seed_count
@@ -238,16 +244,18 @@ def per_config_records(spec):
                                              method.value, "ranking"))
         worlds = sample_worlds(spec, name, g, pp)
         n = seed_count(g, sp)
-        sn = list(per_config_states(g, ranking, StrategySpec("SN"), n, worlds))
-        mean_c = sum(t.coverage for t in sn) / len(sn)
-        t_sn = max(1, math.floor(sum(t.duration for t in sn) / len(sn) + 0.5))
+        sn = list(per_config_runs(g, ranking, StrategySpec("SN"), n, worlds))
+        mean_c = sum(t.coverage for t, _ in sn) / len(sn)
+        t_sn = max(1, math.floor(sum(t.duration for t, _ in sn) / len(sn)
+                                 + 0.5))
         runs = [("SN", sn)] + [
-            (s.label, per_config_states(g, ranking, s, n, worlds, t_sn))
+            (s.label, per_config_runs(g, ranking, s, n, worlds, t_sn))
             for s in spec.strategies if s.kind != "SN"]
         cid = config_id(name, pp, sp, method)
         records += [RunRecord(cid, name, pp, sp, method.value, label, r,
                               t.coverage, t.duration,
                               first_step_reaching(t, mean_c),
-                              t.cumulative_at(t_sn), t.forfeited)
-                    for label, states in runs for r, t in enumerate(states)]
+                              t.cumulative_at(t_sn), n - spent)
+                    for label, states in runs
+                    for r, (t, spent) in enumerate(states)]
     return records

@@ -367,6 +367,38 @@ def test_simulate_bytes_pinned(tmp_path, capsys, strategy):
     assert digest.hexdigest() == PINNED_SIMULATE_SHA256[strategy]
 
 
+def failing_scatter_csv(summary, out):
+    """`write_scatter_csv` that writes 100 characters of the table and
+    fails."""
+    full = io.StringIO()
+    experiment.write_scatter_csv(summary, full)
+    out.write(full.getvalue()[:100])
+    raise OSError("disk full")
+
+
+def test_simulate_rerun_leaves_only_its_own_traces(tmp_path, capsys):
+    """A rerun with fewer runs into the same directory removes the earlier
+    run's extra traces, so every trace left is one the mean curve
+    averages."""
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "ba", "--n", "40", "--m", "2", "--seed", "3",
+             "--out", str(gpath)], capsys)
+
+    def simulate(runs, out_dir):
+        code, _, _ = run_cli(
+            ["simulate", "--graph", str(gpath), "--strategy", "SQ_2PS_R",
+             "--ranking", "degree", "--sp", "0.1", "--pp", "0.3",
+             "--runs", str(runs), "--out-dir", str(out_dir)], capsys)
+        assert code == 0
+        return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    assert len(simulate(4, tmp_path / "sim")) == 5
+    again = simulate(2, tmp_path / "sim")
+    assert sorted(again) == ["mean_curve.csv", "trace_0000.csv",
+                             "trace_0001.csv"]
+    assert again == simulate(2, tmp_path / "fresh")
+
+
 class TestGridAndSummarize:
     def test_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"
@@ -515,25 +547,45 @@ class TestGridAndSummarize:
 
     def test_failed_summary_write_leaves_no_table(self, tmp_path, capsys,
                                                   monkeypatch):
-        """A table write that fails partway leaves neither a partial table
-        nor its temp file; the tables written before it stay whole."""
-        def write_scatter_csv(summary, out):
-            full = io.StringIO()
-            experiment.write_scatter_csv(summary, full)
-            out.write(full.getvalue()[:100])
-            raise OSError("disk full")
-
+        """A table write that fails partway leaves no table of the command,
+        neither the partial one nor the complete one written before it, and
+        no temp file."""
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(GRID_CONFIG))
         code, _, _ = run_cli(["grid", "--config", str(cfg),
                               "--out-dir", str(tmp_path / "out")], capsys)
         assert code == 0
-        monkeypatch.setattr(cli, "write_scatter_csv", write_scatter_csv)
+        monkeypatch.setattr(cli, "write_scatter_csv", failing_scatter_csv)
         code, out, err = run_cli(["summarize", "--records",
                                   str(tmp_path / "out" / "records.csv"),
                                   "--out-dir", str(tmp_path / "sum")], capsys)
         assert (code, out, err) == (1, "", "error: disk full\n")
-        assert os.listdir(tmp_path / "sum") == ["summary.csv"]
+        assert os.listdir(tmp_path / "sum") == []
+
+    def test_failed_summary_write_keeps_earlier_tables(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """A summarize that fails on its scatter leaves both tables of the
+        summarize before it in the same directory as they were: no new
+        summary beside the old scatter."""
+        for reps in (2, 3):
+            cfg = tmp_path / f"grid{reps}.json"
+            cfg.write_text(json.dumps(dict(GRID_CONFIG, replications=reps)))
+            code, _, _ = run_cli(["grid", "--config", str(cfg), "--out-dir",
+                                  str(tmp_path / f"out{reps}")], capsys)
+            assert code == 0
+        summarize = ["summarize", "--out-dir", str(tmp_path / "sum"),
+                     "--records"]
+        code, _, _ = run_cli(
+            summarize + [str(tmp_path / "out2" / "records.csv")], capsys)
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "sum").iterdir()}
+        assert sorted(before) == ["ratio_scatter.csv", "summary.csv"]
+        monkeypatch.setattr(cli, "write_scatter_csv", failing_scatter_csv)
+        code, _, err = run_cli(
+            summarize + [str(tmp_path / "out3" / "records.csv")], capsys)
+        assert (code, err) == (1, "error: disk full\n")
+        after = {p.name: p.read_bytes() for p in (tmp_path / "sum").iterdir()}
+        assert after == before
 
     def test_grid_warns_of_dropped_edge_list_lines(self, tmp_path, capsys):
         (tmp_path / "loops.txt").write_text("a b\nb c\na a\nb a\n")

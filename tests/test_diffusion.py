@@ -1,12 +1,14 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from seqseed.diffusion import (UNTIL_STOP, DiffusionState, activate_seeds,
                                advance, run_until_stop, sample_world)
-from seqseed.graphs import (ParameterError, generate_ba, generate_er,
+from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
                             load_edge_list)
 
 from conftest import components, expected_coverage_exact
@@ -204,6 +206,47 @@ class TestRunUntilStop:
                                 b.coverage, b.duration)
         assert a == b  # equality compares every field
         assert a.coverage > 3  # the run spread past its seeds
+
+
+def last_active_step(cumulative):
+    """Brute force: the last step whose count rose above the count before
+    it (0 before step 0), or 0 if none did."""
+    rose = [s for s, c in enumerate(cumulative)
+            if c > (cumulative[s - 1] if s else 0)]
+    return rose[-1] if rose else 0
+
+
+class TestDuration:
+    """`duration` is read off the counts: any sequence of `advance` calls
+    leaves at most the last step quiet, so it is the last step or the one
+    before it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.data())
+    def test_duration_is_last_active_step(self, data):
+        size = data.draw(hst.integers(1, 8))
+        pairs = list(itertools.combinations(range(size), 2))
+        g = Graph(size, sorted(data.draw(
+            hst.lists(hst.sampled_from(pairs), unique=True, max_size=12)
+            if pairs else hst.just([]))))
+        live = [[] for _ in range(size)]
+        for u, v in zip(*g.arcs):
+            if data.draw(hst.booleans()):
+                live[u].append(v)
+        state = DiffusionState(g)
+        for _ in range(data.draw(hst.integers(1, 8))):
+            steps = data.draw(hst.sampled_from([0, 1, 2, UNTIL_STOP]))
+            inactive = [v for v in range(size) if not state.flags[v]]
+            # a batch may land on a quiet last step, which it makes active
+            batch = data.draw(hst.lists(hst.sampled_from(inactive),
+                                        unique=True) if inactive
+                              else hst.just([]))
+            advance(state, live, steps, batch)
+            cum = state.cumulative
+            assert state.duration == last_active_step(cum)
+            assert state.last_activity == state.duration
+            assert all(cum[s] > (cum[s - 1] if s else 0)
+                       for s in range(len(cum) - 1)), cum
 
 
 def eccentricity(g, source, comp):

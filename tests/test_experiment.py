@@ -362,7 +362,7 @@ def test_records_bytes_pinned():
     spec = pinned_grid()
     rankings = {(name, method): grid_ranking(spec.master_seed, name, g, method)
                 for name, g in spec.graphs for method in spec.rankings}
-    runs = [(cfg, label, state.forfeited) for name, g in spec.graphs
+    runs = [(cfg, label, cfg.n - len(state.seeds)) for name, g in spec.graphs
             for pp in spec.pp_values
             for cfg, label, _, state in run_block(spec, name, g, pp, rankings)]
     assert any(cfg.n % 2 for cfg, _, _ in runs)

@@ -158,7 +158,7 @@ class TestRunSqKps:
         t = run_strategy(path3, degree_ranking(path3), StrategySpec("SQ_kPS", k=1),
                          3, 1.0, random.Random(0))
         assert t.coverage == 3
-        assert t.forfeited > 0
+        assert len(t.seeds) < 3  # the rest of the budget is forfeited
 
 
 class TestRunSqKpsR:
@@ -213,8 +213,8 @@ class TestRunSqKpsB:
         for seed in range(30):
             t = run_strategy(g, r, StrategySpec("SQ_kPS_B", k=2),
                              9, 0.4, random.Random(seed))
-            # every budget unit is either spent on a distinct node or forfeited
-            assert len(t.seeds) + t.forfeited == 9
+            # no budget unit is spent twice or beyond the budget
+            assert len(t.seeds) <= 9
             assert len(t.seeds) == len(set(t.seeds)) == sum(t.injected)
 
     def test_duration_close_to_kps(self):
@@ -316,7 +316,7 @@ class TestBudgetSafetyAcrossStrategies:
             assert s == best
         assert active_set(t) == closure(live, t.seeds)
         # budget is forfeited only once every node is active
-        assert t.forfeited == 0 or len(active_set(t)) == 40
+        assert len(t.seeds) == 6 or len(active_set(t)) == 40
 
 
 class TestRunStrategyDispatch:
@@ -411,7 +411,10 @@ class TestSharedWorlds:
             assert len(cum) == len(t.injected) == t.duration + 2, spec.label
             assert cum[-1] == cum[-2] == t.coverage == sum(t.flags)
             assert all(a <= b for a, b in zip(cum, cum[1:]))
-            assert sum(t.injected) + t.forfeited == n
+            # at most the budget is placed, and budget is forfeited only
+            # once every node is active
+            assert sum(t.injected) <= n
+            assert sum(t.injected) == n or t.coverage == g.node_count
             assert sum(t.injected) == len(t.seeds) == len(set(t.seeds))
             assert active_set(t) == closure(live, t.seeds)
             for c in range(t.coverage + 2):
@@ -512,7 +515,7 @@ class TestCheckpoints:
                      StrategySpec("SQ_kPS_R", k=k)):
             got, _, takes = counted_run(g, r, spec, budgets, live)
             assert takes == budgets[-1] // k + sum(
-                state.forfeited > 0 for _, state in got), spec.label
+                len(state.seeds) < n for n, state in got), spec.label
             for n, state in got:
                 assert [state] == list(
                     per_config_states(g, r, spec, n, [live])), (spec.label, n)
