@@ -11,6 +11,7 @@ import os
 import random
 import re
 import sys
+from functools import partial
 from typing import List
 
 from .config import ConfigError, load_grid_config_file
@@ -77,8 +78,7 @@ def cmd_gen(args) -> int:
         raise ParameterError(f"{args.kind} generator takes no --{other}")
     generate = generate_ba if args.kind == "ba" else generate_er
     g = generate(args.n, getattr(args, own), rng)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        serialize(g, fh)
+    _write_tables([(args.out, serialize, g)])
     print(f"{g.node_count} nodes, {g.edge_count} edges -> {args.out}")
     return 0
 
@@ -95,8 +95,7 @@ def cmd_rank(args) -> int:
     method = RankingMethod.from_string(args.method)
     ranking = grid_ranking(_seed_from(args), _graph_name(args.graph), g, method)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_ranking_csv(g, ranking, fh)
+        _write_tables([(args.out, partial(write_ranking_csv, g), ranking)])
     else:
         write_ranking_csv(g, ranking, sys.stdout)
     return 0
@@ -128,10 +127,9 @@ def cmd_simulate(args) -> int:
     grid = GridSpec([(name, g)], [args.pp], [args.sp], [method], [spec],
                     args.runs, _seed_from(args))
     rankings = {(name, method): grid_ranking(grid.master_seed, name, g, method)}
-    traces = []
-    for cfg, label, _, state in run_block(grid, name, g, args.pp, rankings):
+    for cfg, label, states in run_block(grid, name, g, args.pp, rankings):
         if label == spec.label:
-            traces.append(state)
+            traces = states
     if spec.kind.startswith("SQ_TSN") and spec.t_sn is None:
         print(f"derived t_sn = {cfg.t_sn} from {args.runs} SN reference runs")
 

@@ -160,12 +160,14 @@ def advance(state: DiffusionState, live: World, steps: int,
 
 
 def activate_seeds(state: DiffusionState, seeds: Sequence[int]) -> DiffusionState:
-    """Inject seeds at the current step; they attempt neighbors next step."""
+    """Inject seeds at the current step; they attempt neighbors next step.
+    It stays only for `bench/layers.py`, until ROADMAP item 2 removes it."""
     return advance(state, (), 0, list(seeds))
 
 
 def run_until_stop(state: DiffusionState, graph: Graph, pp: float, rng) -> DiffusionState:
     """Step until a step activates nothing, on a world sampled from `rng`;
-    terminates within N steps."""
+    terminates within N steps. It stays only for `bench/layers.py`, until
+    ROADMAP item 2 removes it."""
     return advance(state, sample_world(graph, pp, rng), UNTIL_STOP)
 

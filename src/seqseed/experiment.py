@@ -12,11 +12,12 @@ once, before any block runs, and every sp and pp seeds from it, so each
 budget's seeds are a prefix of one order.
 
 The unit of work is a (graph, pp) block: every sp x ranking configuration
-that shares its worlds. Per ranking the SN runs go first; each config's SN
-rounded mean duration parameterizes its TSN strategies. Every kind but TSN,
+that shares its worlds. Per ranking, SN and then every other strategy run in
+one loop; SN's runs fix each config's mean coverage and its rounded mean
+duration `t_sn`, which parameterizes its TSN strategies. Every kind but TSN,
 SN among them, runs once per (ranking, world) at the block's largest
 budget, and each smaller budget's run is finished from a checkpoint of that
-run; TSN kinds run per configuration.
+run; TSN kinds run once per distinct budget.
 """
 from __future__ import annotations
 
@@ -161,55 +162,48 @@ def grid_ranking(master_seed: int, graph_name: str, graph: Graph,
 
 def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
               rankings: Dict[Tuple[str, RankingMethod], Ranking]
-              ) -> Iterator[Tuple[BlockConfig, str, int, DiffusionState]]:
+              ) -> Iterator[Tuple[BlockConfig, str, List[DiffusionState]]]:
     """Run every configuration of the (graph, pp) block on its worlds,
-    yielding `(config, strategy label, run id, final state)` as each run
-    ends. A yielded state is final: no later run changes it.
+    yielding `(config, strategy label, final states)`, one state per world
+    in run-id order.
 
     Per ranking, read from `rankings` (keyed by (graph name, method), as
-    `grid_ranking` builds them; never written): SN runs first and fixes
-    each config's t_sn and mean coverage; the other strategies follow in
-    spec order. Every kind but TSN runs once per world for all the
-    ranking's configs, at the largest budget, with each config's budget a
-    checkpoint of that run; TSN kinds run per config. A failure raises
-    GridError naming the config whose work raised or, for work that configs
-    share (worlds, a checkpointed run), the first config that shares it.
+    `grid_ranking` builds them; never written), the configs are grouped by
+    budget and one loop runs SN and then the other strategies in spec
+    order. Every kind but TSN runs once for every budget, each a checkpoint
+    of one run per world; TSN kinds run once per distinct budget, since
+    configs of one budget share their SN runs and so their t_sn. SN's
+    states fix each config's mean coverage and t_sn before they are
+    yielded. A failure raises GridError naming the first config of the
+    work that raised (worlds, or one strategy's call).
     """
     where = config_id(graph_name, pp, spec.sp_values[0], spec.rankings[0])
+    strategies = [_SN] + [s for s in spec.strategies if s.kind != "SN"]
     try:
         worlds = sample_worlds(spec, graph_name, graph, pp)
         for method in spec.rankings:
-            configs = [BlockConfig(config_id(graph_name, pp, sp, method), sp,
-                                   method, seed_count(graph, sp))
-                       for sp in spec.sp_values]
-            where = configs[0].cid
             ranking = rankings[graph_name, method]
             by_budget: Dict[int, List[BlockConfig]] = {}
-            for cfg in configs:
-                by_budget.setdefault(cfg.n, []).append(cfg)
-            sn: Dict[int, List[DiffusionState]] = {n: [] for n in by_budget}
-            for n, state in run_on_worlds(graph, ranking, _SN, list(sn), worlds):
-                sn[n].append(state)
-            for cfg in configs:
-                runs = sn[cfg.n]
-                cfg.mean_c_sn = sum(t.coverage for t in runs) / len(runs)
-                cfg.t_sn = max(1, round_half_up(
-                    sum(t.duration for t in runs) / len(runs)))
-                for r, state in enumerate(runs):
-                    yield cfg, "SN", r, state
-            for strat in spec.strategies:
-                if strat.kind == "SN":  # the baseline above
-                    continue
+            for sp in spec.sp_values:
+                n = seed_count(graph, sp)
+                by_budget.setdefault(n, []).append(BlockConfig(
+                    config_id(graph_name, pp, sp, method), sp, method, n))
+            for strat in strategies:
                 label = strat.label  # built once: each record keeps it
-                for first, group in (
-                        [(configs[0], by_budget)] if strat.shares_budgets
-                        else [(cfg, {cfg.n: [cfg]}) for cfg in configs]):
+                for budgets in ([list(by_budget)] if strat.shares_budgets
+                                else [[n] for n in by_budget]):
+                    first = by_budget[budgets[0]][0]
                     where = first.cid
-                    runs = run_on_worlds(graph, ranking, strat, list(group),
+                    runs = run_on_worlds(graph, ranking, strat, budgets,
                                          worlds, first.t_sn)
-                    for i, (n, state) in enumerate(runs):
-                        for cfg in group[n]:
-                            yield cfg, label, i // len(group), state
+                    for n, states in runs.items():
+                        for cfg in by_budget[n]:
+                            if strat is _SN:
+                                cfg.mean_c_sn = sum(
+                                    t.coverage for t in states) / len(states)
+                                cfg.t_sn = max(1, round_half_up(sum(
+                                    t.duration for t in states) / len(states)))
+                            yield cfg, label, states
     except Exception as exc:
         raise GridError(f"config {where} failed: {exc}") from exc
 
@@ -231,7 +225,8 @@ def _block_records(spec: GridSpec,
                    block: Tuple[str, float]) -> List[RunRecord]:
     """The records of one (graph, pp) block, in config order: configs by
     sp, then ranking; within one, SN and then the strategies as listed;
-    within one, by run id. Each final state becomes its record at once.
+    within one, by run id. Each (config, strategy) of `run_block` fills its
+    `replications` slots from its list of final states, run r in slot r.
 
     Each config's first record slot and ranking name are found once, and
     `t_reach_csn` and `coverage_at_tsn` are read straight off the state's
@@ -250,17 +245,19 @@ def _block_records(spec: GridSpec,
              for i, (sp, method)
              in enumerate(product(spec.sp_values, spec.rankings))}
     records: List[Optional[RunRecord]] = [None] * (len(slots) * width)
-    for cfg, label, r, state in run_block(spec, name, dict(spec.graphs)[name],
-                                          pp, rankings):
+    for cfg, label, states in run_block(spec, name, dict(spec.graphs)[name],
+                                        pp, rankings):
         base, ranking = slots[cfg.cid]
-        cum = state.cumulative
-        last = len(cum) - 1
-        reach = bisect_left(cum, cfg.mean_c_sn)
-        records[base + column[label] + r] = RunRecord(
-            cfg.cid, name, pp, cfg.sp, ranking, label, r,
-            cum[last], last - 1, reach if reach <= last else None,
-            cum[cfg.t_sn if cfg.t_sn < last else last],
-            cfg.n - len(state.seeds))
+        base += column[label]
+        for r, state in enumerate(states):
+            cum = state.cumulative
+            last = len(cum) - 1
+            reach = bisect_left(cum, cfg.mean_c_sn)
+            records[base + r] = RunRecord(
+                cfg.cid, name, pp, cfg.sp, ranking, label, r,
+                cum[last], last - 1, reach if reach <= last else None,
+                cum[cfg.t_sn if cfg.t_sn < last else last],
+                cfg.n - len(state.seeds))
     return records
 
 

@@ -4,10 +4,10 @@ All strategies spend at most n seeds, always on the highest-ranked nodes that
 are still inactive at the moment of injection. Budget that cannot be placed
 because every node is already active is forfeited: the budget less the
 seeds on the run's state. A run is a traversal of one live-edge world;
-`run_on_worlds` checks the budgets and plans the stages once, then runs them
-on each world of a list. On the same world every sequential kind ends with
-an active set containing SN's, since each of SN's top-n nodes is seeded by
-it or active when its cursor passes.
+`run_on_worlds` checks the budgets and plans the stages once, when it is
+called, and returns each budget's final states, one per world. On the same
+world every sequential kind ends with an active set containing SN's, since
+each of SN's top-n nodes is seeded by it or active when its cursor passes.
 
 Every kind runs in one stage loop, `_run_stages`, which ends each budget at
 a checkpoint: after some shared stages, spend what the budget has left and
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .diffusion import UNTIL_STOP, DiffusionState, World, advance, sample_world
 from .graphs import Graph, ParameterError
@@ -154,8 +154,8 @@ def _take(order: List[int], flags: bytearray, cursor: int,
 
 def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
                 until_stop: bool, buffered: bool, live: World,
-                ends: List[Tuple[int, int]]
-                ) -> Iterator[Tuple[int, DiffusionState]]:
+                ends: List[Tuple[int, int]],
+                runs: Dict[int, List[DiffusionState]]) -> None:
     """The stage loop. Inject each stage's batch, then wait one step or until
     diffusion stops. A batch is the best inactive nodes of the order or,
     `buffered`, the inactive nodes among the stage's positions of the order,
@@ -163,7 +163,7 @@ def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
     finish n's run: when buffered, inject the inactive nodes among its
     positions up to n and wait until diffusion stops; then spend what the
     budget has left on the best inactive nodes, wait until diffusion stops,
-    and yield `(n, final state)`.
+    and append the final state to `runs[n]`.
 
     One rule keeps the kernel calls to those that can change a state:
     `advance` is called only with seeds to inject or a frontier to step, and
@@ -193,7 +193,7 @@ def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
             batch = _take(order, final.flags, cursor, left)[0] if left else []
             if batch or final.frontier:
                 advance(final, live, UNTIL_STOP, batch)
-            yield n, final
+            runs[n].append(final)
         if e == len(ends):
             return
         if buffered:
@@ -209,19 +209,17 @@ def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
 def run_on_worlds(graph: Graph, ranking: Ranking, spec: StrategySpec,
                   budgets: Sequence[int], worlds: Iterable[World],
                   t_sn: Optional[int] = None
-                  ) -> Iterator[Tuple[int, DiffusionState]]:
+                  ) -> Dict[int, List[DiffusionState]]:
     """Run a StrategySpec on each live-edge world of `graph` in `worlds` at
-    each seed budget in `budgets`, yielding per world, budgets ascending,
-    `(n, final state)` as they are asked for; TSN variants take t_sn from
-    the spec or the arg. The budgets are checked and the stages planned
-    once, when the first state is asked for.
+    each seed budget in `budgets`, and return, for each budget in ascending
+    order, its final states, one per world in world order. TSN variants
+    take t_sn from the spec or the arg. The budgets are checked and the
+    stages planned once, when it is called.
 
     Every kind is a list of stage sizes plus a wait mode: one diffusion step
     per stage, or (`_R`) until diffusion stops. `_B` adds buffering. Every
     kind but SQ_TSN and SQ_TSN_R takes any number of budgets and runs once
-    per world, each budget a checkpoint of that run; TSN kinds take one. A
-    yielded state is final: every budget but the last finishes on a copy,
-    and the run ends with the last.
+    per world, each budget a checkpoint of that run; TSN kinds take one.
     """
     budgets = sorted(set(budgets))
     for n in budgets:
@@ -229,14 +227,16 @@ def run_on_worlds(graph: Graph, ranking: Ranking, spec: StrategySpec,
     sizes, ends = _plan(spec, budgets, t_sn)
     until_stop = spec.kind.endswith("_R")
     buffered = spec.kind == "SQ_kPS_B"
+    runs: Dict[int, List[DiffusionState]] = {n: [] for n in budgets}
     for live in worlds:
-        yield from _run_stages(ranking, DiffusionState(graph), sizes,
-                               until_stop, buffered, live, ends)
+        _run_stages(ranking, DiffusionState(graph), sizes, until_stop,
+                    buffered, live, ends, runs)
+    return runs
 
 
 def run_strategy(graph: Graph, ranking: Ranking, spec: StrategySpec, n: int,
                  pp: float, rng, t_sn: Optional[int] = None) -> DiffusionState:
-    """`run_on_worlds` at budget n on one world sampled from `rng`."""
-    ((_, state),) = run_on_worlds(graph, ranking, spec, [n],
-                                  [sample_world(graph, pp, rng)], t_sn)
-    return state
+    """`run_on_worlds` at budget n on one world sampled from `rng`. It stays
+    only for `bench/layers.py`, until ROADMAP item 2 removes it."""
+    return run_on_worlds(graph, ranking, spec, [n],
+                         [sample_world(graph, pp, rng)], t_sn)[n][0]

@@ -156,6 +156,31 @@ def configs(spec):
             for sp in spec.sp_values
             for method in spec.rankings]
 
+
+def recast(graph, cls):
+    """`graph` rebuilt as an instance of the Graph subclass `cls`. A grid's
+    pool workers unpickle its graphs under every start method, whereas a
+    patch in the parent reaches them only when they fork, so a test that
+    must fail or count work in a worker does it through such a graph."""
+    return cls(graph.node_count, graph.edges())
+
+
+class _Unreadable(list):
+    def __getitem__(self, i):
+        raise RuntimeError("injected failure")
+
+
+class LiveEdgeFails(Graph):
+    """A graph whose world sampling raises "injected failure" once an edge
+    is drawn live: `sample_world` reads an arc's head only then, so every
+    block fails at pp > 0 and none at pp = 0."""
+
+    @property
+    def arcs(self):
+        tails, heads = super().arcs
+        return tails, _Unreadable(heads)
+
+
 @pytest.fixture
 def path3():
     return load_edge_list("0 1\n1 2")

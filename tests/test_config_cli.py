@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,6 +12,8 @@ from seqseed.config import ConfigError, load_grid_config
 from seqseed.experiment import RECORD_COLUMNS, derive_rng, run_grid
 from seqseed.graphs import ParameterError, load_edge_list
 from seqseed.ranking import RankingMethod, rank
+
+from conftest import LiveEdgeFails, recast
 
 
 def run_cli(argv, capsys):
@@ -182,6 +185,19 @@ class TestGen:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        """A write that fails partway leaves neither a partial edge list,
+        which would load as a smaller graph, nor its temp file."""
+        def serialize(graph, out):
+            out.write("0 1\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "serialize", serialize)
+        code, out, err = run_cli(["gen", "ba", "--n", "30", "--m", "2",
+                                  "--out", str(tmp_path / "g.txt")], capsys)
+        assert (code, out, err) == (1, "", "error: disk full\n")
+        assert os.listdir(tmp_path) == []
+
 
 class TestRank:
     def test_rank_csv(self, tmp_path, capsys):
@@ -223,6 +239,47 @@ class TestRank:
         assert code == 0
         assert err == (f"warning: {gpath}: dropped 1 self-loops and 1 "
                        "duplicate edges\n")
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        """A write that fails partway leaves neither a header-only ranking
+        nor its temp file."""
+        def write_ranking_csv(graph, ranking, out):
+            out.write("node_label,method,score,rank_position\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_ranking_csv", write_ranking_csv)
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("0 1\n0 2\n0 3\n")
+        code, out, err = run_cli(["rank", "--graph", str(gpath), "--method",
+                                  "degree", "--out", str(tmp_path / "r.csv")],
+                                 capsys)
+        assert (code, out, err) == (1, "", "error: disk full\n")
+        assert os.listdir(tmp_path) == ["g.txt"]
+
+
+@pytest.mark.parametrize("command, out", [
+    (["gen", "ba", "--n", "30", "--m", "2"], "--out"),
+    (["rank", "--graph", "g.txt", "--method", "random"], "--out"),
+    (["simulate", "--graph", "g.txt", "--strategy", "SQ_1PS_R", "--ranking",
+      "random", "--sp", "0.1", "--pp", "0.3", "--runs", "3"], "--out-dir"),
+], ids=["gen", "rank", "simulate"])
+def test_entropy_seeds_from_os_randomness(tmp_path, capsys, monkeypatch,
+                                          command, out):
+    """--entropy writes what --seed writes with the big-endian int of the
+    8 bytes `os.urandom` gives."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(["gen", "ba", "--n", "40", "--m", "2", "--out", "g.txt"], capsys)
+    noise = bytes(range(1, 9))
+    monkeypatch.setattr(os, "urandom", lambda size: noise[:size])
+    written = []
+    for path, seeding in (("a", ["--entropy"]),
+                          ("b", ["--seed", str(int.from_bytes(noise, "big"))])):
+        code, _, err = run_cli(command + seeding + [out, path], capsys)
+        assert (code, err) == (0, "")
+        target = tmp_path / path
+        written.append({p.name: p.read_bytes() for p in target.iterdir()}
+                       if target.is_dir() else target.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("command", [
@@ -516,11 +573,15 @@ class TestGridAndSummarize:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_config_exits_nonzero(self, tmp_path, capsys, monkeypatch,
                                           jobs):
-        def run_on_worlds(*args, **kwargs):
-            raise RuntimeError("injected failure")
+        real = cli.load_grid_config_file
 
-        # pool workers are forked, so they inherit the patch
-        monkeypatch.setattr(experiment, "run_on_worlds", run_on_worlds)
+        def load_grid_config_file(path):
+            spec = real(path)
+            return dataclasses.replace(spec, graphs=[
+                (name, recast(g, LiveEdgeFails)) for name, g in spec.graphs])
+
+        monkeypatch.setattr(cli, "load_grid_config_file",
+                            load_grid_config_file)
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(GRID_CONFIG))
         code, _, err = run_cli(["grid", "--config", str(cfg), "--jobs", jobs,

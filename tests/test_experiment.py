@@ -7,7 +7,6 @@ import multiprocessing
 import random
 import re
 from collections import Counter
-from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,11 +18,12 @@ from seqseed.experiment import (RECORD_COLUMNS, ComparisonSummary,
                                 read_records_csv, run_block, run_grid,
                                 summarize, write_records_csv,
                                 write_scatter_csv, write_summary_csv)
-from seqseed.graphs import ParameterError, generate_ba, generate_er, load_edge_list
+from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
+                            load_edge_list)
 from seqseed.ranking import RankingMethod, rank
 from seqseed.strategies import StrategySpec, seed_count
 
-from conftest import configs, per_config_records
+from conftest import LiveEdgeFails, configs, per_config_records, recast
 
 
 def small_spec(strategies, replications=3, master_seed=11, pp_values=(0.2,)):
@@ -114,56 +114,56 @@ class TestRunGrid:
                 assert r.t_reach_csn <= r.duration
 
 
-def fail_runs_at_pp(monkeypatch, pp):
-    """Make the world sampling of the configurations at `pp` raise. Pool
-    workers are forked, so they inherit the patch."""
-    real = experiment.sample_worlds
+class DegreeFails(Graph):
+    """A graph whose degree and degree2 rankings raise."""
 
-    def sample_worlds(spec, graph_name, graph, world_pp):
-        if world_pp == pp:
-            raise RuntimeError("injected failure")
-        return real(spec, graph_name, graph, world_pp)
-
-    monkeypatch.setattr(experiment, "sample_worlds", sample_worlds)
-
-
-def fail_rankings(monkeypatch):
-    """Make every ranking of the grid raise."""
-    def rank(*args, **kwargs):
+    def degree(self, v):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setattr(experiment, "rank", rank)
+
+class RankLog(Graph):
+    """A graph that appends a line to the file `log` each time degree(0) is
+    read: once per degree or degree2 ranking, in whichever process ranks."""
+    log = None
+
+    def degree(self, v):
+        if v == 0:
+            with open(self.log, "a", encoding="utf-8") as fh:
+                fh.write("rank\n")
+        return super().degree(v)
+
+
+def recast_graphs(spec, cls):
+    """`spec` with each graph recast as `cls`."""
+    return dataclasses.replace(spec, graphs=[(name, recast(g, cls))
+                                             for name, g in spec.graphs])
 
 
 class TestRunGridJobs:
-    @pytest.mark.parametrize("jobs, fail, pp", [
-        *(pytest.param(jobs, partial(fail_runs_at_pp, pp=0.3), r"0\.3",
+    @pytest.mark.parametrize("jobs, graph_type, pp_values, pp", [
+        # the worlds fail at pp = 0.3, not at pp = 0
+        *(pytest.param(jobs, LiveEdgeFails, [0.0, 0.3], r"0\.3",
                        id=str(jobs)) for jobs in (1, 2)),
-        *(pytest.param(jobs, fail_rankings, r"0\.2", id=f"ranking-{jobs}")
-          for jobs in (1, 2))])
-    def test_failing_config_fails_grid(self, monkeypatch, jobs, fail, pp):
-        spec = small_spec([StrategySpec("SN"), StrategySpec("SQ_TSN")],
-                          pp_values=[0.2, 0.3])
-        fail(monkeypatch)
+        # the ranking fails; its first config is at pp = 0.2
+        *(pytest.param(jobs, DegreeFails, [0.2, 0.3], r"0\.2",
+                       id=f"ranking-{jobs}") for jobs in (1, 2))])
+    def test_failing_config_fails_grid(self, jobs, graph_type, pp_values, pp):
+        spec = recast_graphs(small_spec(
+            [StrategySpec("SN"), StrategySpec("SQ_TSN")],
+            pp_values=pp_values), graph_type)
         with pytest.raises(GridError, match=rf"config ba60\|pp={pp}\|sp=0\.05"
                            r"\|degree failed: injected failure"):
             run_grid(spec, jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_rank_call_per_graph_and_method(self, monkeypatch, tmp_path,
-                                                jobs):
+    def test_one_rank_call_per_graph_and_method(self, tmp_path, jobs):
         """Each (graph, method) is ranked once per grid, at every job count:
         calls are counted across processes, one line each in a file."""
         log = tmp_path / "rank_calls"
-        real = experiment.rank
-
-        def rank(graph, method, *args, **kwargs):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{method.value}\n")
-            return real(graph, method, *args, **kwargs)
-
-        monkeypatch.setattr(experiment, "rank", rank)
-        spec = pinned_grid()
+        spec = recast_graphs(dataclasses.replace(pinned_grid(), rankings=[
+            RankingMethod.DEGREE, RankingMethod.DEGREE2]), RankLog)
+        for _, g in spec.graphs:
+            g.log = str(log)
         run_grid(spec, jobs=jobs)
         calls = log.read_text(encoding="utf-8").split()
         assert len(calls) == len(spec.graphs) * len(spec.rankings)
@@ -197,9 +197,10 @@ class TestRunGridJobs:
 
     def test_one_plan_per_config_and_strategy(self, monkeypatch):
         """Each strategy checks its budgets and plans its stages once for
-        all its worlds, whatever the replication count: TSN kinds once per
-        config, every other kind, SN among them, once per (graph, pp,
-        ranking) for all its budgets."""
+        all its worlds, whatever the replication count: every kind but TSN,
+        SN among them, once per (graph, pp, ranking) for all its budgets,
+        and TSN kinds once per distinct budget of each (graph, pp,
+        ranking), also where two sp give one budget."""
         calls = []
         real = strategy_module._plan
 
@@ -208,16 +209,21 @@ class TestRunGridJobs:
             return real(*args)
 
         monkeypatch.setattr(strategy_module, "_plan", plan)
-        spec = pinned_grid()
-        shared = sum(1 for s in spec.strategies if s.shares_budgets)
-        per_config = len(spec.strategies) - shared  # SN among them
-        blocks = len(spec.graphs) * len(spec.pp_values) * len(spec.rankings)
-        for replications in (1, spec.replications):
-            calls.clear()
-            run_grid(dataclasses.replace(spec, replications=replications),
-                     jobs=1)
-            assert len(calls) == (len(configs(spec)) * per_config
-                                  + blocks * shared)
+        # the same-budget grid's sp 0.01 and 0.012 share n = 2
+        for name, distinct in (("pinned", 4), ("same-budget", 3)):
+            spec = oracle_grids()[name]
+            shared = sum(1 for s in spec.strategies if s.shares_budgets)
+            tsn = len(spec.strategies) - shared  # SN among the shared
+            budgets = sum(len({seed_count(g, sp) for sp in spec.sp_values})
+                          for _, g in spec.graphs)
+            assert budgets == distinct
+            per_graph = len(spec.pp_values) * len(spec.rankings)
+            for replications in (1, spec.replications):
+                calls.clear()
+                run_grid(dataclasses.replace(spec, replications=replications),
+                         jobs=1)
+                assert len(calls) == per_graph * (
+                    len(spec.graphs) * shared + budgets * tsn), name
 
     def test_one_world_list_per_block_and_one_ranking_per_method(
             self, monkeypatch):
@@ -364,7 +370,8 @@ def test_records_bytes_pinned():
                 for name, g in spec.graphs for method in spec.rankings}
     runs = [(cfg, label, cfg.n - len(state.seeds)) for name, g in spec.graphs
             for pp in spec.pp_values
-            for cfg, label, _, state in run_block(spec, name, g, pp, rankings)]
+            for cfg, label, states in run_block(spec, name, g, pp, rankings)
+            for state in states]
     assert any(cfg.n % 2 for cfg, _, _ in runs)
     assert any(cfg.n < cfg.t_sn for cfg, _, _ in runs)
     forfeits = {label for _, label, forfeited in runs if forfeited}
@@ -405,7 +412,7 @@ def oracle_grids():
             [("ba200", g200)], [0.1, 1.0], [0.05, 0.012, 0.01, 0.03],
             [RankingMethod.PAGERANK, RankingMethod.RANDOM],
             kinds[:3] + [StrategySpec.parse(s) for s in (
-                "SQ_2PS_R", "SQ_1PS_B", "SQ_2PS_B")],
+                "SQ_2PS_R", "SQ_1PS_B", "SQ_2PS_B", "SQ_TSN", "SQ_TSN_R")],
             replications=3, master_seed=77),
         # k = 3 with n = 3, 5, 10: k divides one budget of three, and
         # SQ_3PS_B's last positions are 1, 2 or 3 of the order

@@ -21,9 +21,9 @@ def degree_ranking(g, seed=0):
 
 
 def run_on(g, r, spec, n, live, t_sn=None):
-    """The one state that `run_on_worlds` yields for the single world `live`
-    at budget n."""
-    ((_, state),) = run_on_worlds(g, r, spec, [n], [live], t_sn)
+    """The one state that `run_on_worlds` returns for the single world
+    `live` at budget n."""
+    ((state,),) = run_on_worlds(g, r, spec, [n], [live], t_sn).values()
     return state
 
 
@@ -474,15 +474,17 @@ def divided_budget_cases(draw):
 
 
 def counted_run(g, r, spec, budgets, live):
-    """What `run_on_worlds` yields for `budgets` on the one world `live`,
-    with the number of `advance` and `_take` calls it made."""
+    """The `(n, state)` that `run_on_worlds` returns for `budgets` on the
+    one world `live`, with the number of `advance` and `_take` calls it
+    made."""
     from seqseed import strategies
 
     with mock.patch.object(strategies, "advance",
                            wraps=strategies.advance) as advanced, \
             mock.patch.object(strategies, "_take",
                               wraps=strategies._take) as taken:
-        got = list(run_on_worlds(g, r, spec, budgets, [live]))
+        got = [(n, state) for n, (state,)
+               in run_on_worlds(g, r, spec, budgets, [live]).items()]
     return got, advanced.call_count, taken.call_count
 
 
@@ -497,10 +499,10 @@ class TestCheckpoints:
         for spec in (StrategySpec("SN"), StrategySpec("SQ_kPS", k=k),
                      StrategySpec("SQ_kPS_R", k=k),
                      StrategySpec("SQ_kPS_B", k=k)):
-            # each state as yielded, so a later change to one fails too
-            got = list(run_on_worlds(g, r, spec, budgets, [live]))
-            assert [n for n, _ in got] == sorted(set(budgets))
-            for n, state in got:
+            # each state as returned, so a later change to one fails too
+            got = run_on_worlds(g, r, spec, budgets, [live])
+            assert list(got) == sorted(set(budgets))
+            for n, (state,) in got.items():
                 (want,) = per_config_states(g, r, spec, n, [live])
                 assert state == want, (spec.label, n)
 
@@ -558,4 +560,4 @@ class TestCheckpoints:
         for spec in (StrategySpec("SQ_TSN", t_sn=2),
                      StrategySpec("SQ_TSN_R", t_sn=2)):
             with pytest.raises(ParameterError, match="one budget at a time"):
-                list(run_on_worlds(g, degree_ranking(g), spec, [3, 6], [live]))
+                run_on_worlds(g, degree_ranking(g), spec, [3, 6], [live])
