@@ -1,8 +1,9 @@
 """Command line surface: gen, rank, simulate, grid, summarize.
 
 All randomness defaults to a fixed master seed so repeated invocations are
-byte-identical; pass --entropy to opt into OS randomness. Data goes to files
-or stdout, diagnostics to stderr, exit status is nonzero on any error.
+byte-identical; pass --entropy to draw the seed from OS randomness and
+print it on stderr. Data goes to files or stdout, diagnostics to stderr,
+exit status is nonzero on any error.
 """
 from __future__ import annotations
 
@@ -52,7 +53,12 @@ def _write_tables(tables) -> None:
     file."""
     try:
         for path, write, table in tables:
-            with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
+            try:
+                fh = open(path + ".tmp", "w", encoding="utf-8", newline="")
+            except OSError as exc:  # name the table, not its temp file
+                exc.filename = path
+                raise
+            with fh:
                 write(table, fh)
         for path, _, _ in tables:
             os.replace(path + ".tmp", path)
@@ -64,8 +70,12 @@ def _write_tables(tables) -> None:
 
 
 def _seed_from(args) -> int:
-    if getattr(args, "entropy", False):
-        return int.from_bytes(os.urandom(8), "big")
+    """The master seed: --seed, or under --entropy one drawn from the OS and
+    printed on stderr, so that --seed can rerun it."""
+    if args.entropy:
+        seed = int.from_bytes(os.urandom(8), "big")
+        print(f"seed {seed} (from --entropy)", file=sys.stderr)
+        return seed
     return args.seed
 
 
@@ -181,28 +191,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="seqseed",
         description="Sequential seeding simulation lab (IC diffusion model)")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    seeded.add_argument("--entropy", action="store_true",
+                        help="seed from OS randomness; prints the seed drawn")
 
-    p = sub.add_parser("gen", help="generate a synthetic graph edge list")
+    p = sub.add_parser("gen", parents=[seeded],
+                       help="generate a synthetic graph edge list")
     p.add_argument("kind", choices=["ba", "er"])
     p.add_argument("--n", type=int, required=True, help="node count")
     p.add_argument("--m", type=int, help="edges per new node (ba)")
     p.add_argument("--p", type=float, help="edge probability (er)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--entropy", action="store_true",
-                   help="seed from OS randomness instead of --seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("rank", help="rank nodes and dump scores as CSV")
+    p = sub.add_parser("rank", parents=[seeded],
+                       help="rank nodes and dump scores as CSV")
     p.add_argument("--graph", required=True, help="edge list path")
     p.add_argument("--method", required=True,
                    help="random|degree|degree2|pagerank|eigenvector (or R/D/D2/PR/EV)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--entropy", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("simulate", help="run one configuration, emit traces")
+    p = sub.add_parser("simulate", parents=[seeded],
+                       help="run one configuration, emit traces")
     p.add_argument("--graph", required=True)
     p.add_argument("--strategy", required=True,
                    help="SN, SQ_kPS[_R|_B] (+--k), SQ_TSN[_R], or inline SQ_2PS_R")
@@ -213,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sp", type=float, required=True)
     p.add_argument("--pp", type=float, required=True)
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--entropy", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 

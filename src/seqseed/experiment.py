@@ -321,9 +321,9 @@ class ComparisonSummary:
 
 def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
     """Pair every sequential strategy against its config's SN baseline.
-    No records at all, a config lacking a strategy that another config has,
-    a repeated (config_id, strategy, run_id), or a (config_id, strategy)
-    whose run ids differ from its SN block's, raises ValueError."""
+    No records at all, a config lacking SN or a strategy that another config
+    has, a repeated (config_id, strategy, run_id), or a (config_id,
+    strategy) whose run ids differ from its SN block's, raises ValueError."""
     by_config: Dict[str, Dict[str, List[RunRecord]]] = {}
     for rec in records:  # each key looked up first: no dict or list to drop
         block = by_config.get(rec.config_id)
@@ -335,7 +335,8 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
         runs.append(rec)
     if not by_config:
         raise ValueError("no records to summarize")
-    labels = {strategy for block in by_config.values() for strategy in block}
+    # SN and every strategy that any config has: each config needs them all
+    labels = {"SN"}.union(*by_config.values())
 
     per_config: List[ConfigStrategyRow] = []
     run_wins: Counter = Counter()  # runs above their config's SN mean
@@ -343,8 +344,6 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
 
     for cid in sorted(by_config):
         block = by_config[cid]
-        if "SN" not in block:
-            raise ValueError(f"missing SN baseline for config {cid}")
         missing = labels.difference(block)
         if missing:
             raise ValueError(f"missing rows: config {cid} has no records of "

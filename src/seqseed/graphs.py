@@ -98,31 +98,20 @@ def load_edge_list(source) -> Graph:
     Labels are mapped to dense ids in first-appearance order. Self-loops and
     duplicate edges are dropped; the counts are kept on the returned graph.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = list(source)
-    label_ids = {}
-    labels: List[str] = []
+    # a file is read whole first: its decode error comes before any parse error
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    label_ids = {}  # in insertion order, so its keys are the labels by id
     edge_set = set()
     self_loops = 0
     duplicates = 0
-    saw_data = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        saw_data = True
         parts = line.split()
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: expected two labels, got {len(parts)}")
-        ids = []
-        for lab in parts:
-            if lab not in label_ids:
-                label_ids[lab] = len(labels)
-                labels.append(lab)
-            ids.append(label_ids[lab])
-        u, v = ids
+        u, v = [label_ids.setdefault(lab, len(label_ids)) for lab in parts]
         if u == v:
             self_loops += 1
             continue
@@ -131,9 +120,9 @@ def load_edge_list(source) -> Graph:
             duplicates += 1
             continue
         edge_set.add(key)
-    if not saw_data:
+    if not label_ids:
         raise GraphParseError("empty edge list")
-    g = Graph(len(labels), sorted(edge_set), labels)
+    g = Graph(len(label_ids), edge_set, list(label_ids))
     g.dropped_self_loops = self_loops
     g.dropped_duplicates = duplicates
     return g

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -103,8 +104,8 @@ class WilcoxonResult:
     method: str  # "exact", "normal", or "degenerate"
 
 
-def _signed_midranks(values: List[float]) -> List[float]:
-    """Midranks of |values|, returned signed with the sign of each value."""
+def _midranks(values: List[float]) -> List[float]:
+    """Midranks of |values|: tied magnitudes share one, their mean rank."""
     order = sorted(range(len(values)), key=lambda i: abs(values[i]))
     ranks = [0.0] * len(values)
     i = 0
@@ -151,23 +152,19 @@ def wilcoxon_signed_rank(differences: Sequence[float]) -> WilcoxonResult:
     if not nz:
         return WilcoxonResult(0.0, 1.0, 0, "degenerate")
     n = len(nz)
-    ranks = _signed_midranks(nz)
+    ranks = _midranks(nz)
     w = sum(r for r, d in zip(ranks, nz) if d > 0)
     if n <= EXACT_LIMIT:
         rank2 = [round(2 * r) for r in ranks]
         p = _exact_p(rank2, round(2 * w))
-        return WilcoxonResult(w, max(p, 0.0), n, "exact")
+        return WilcoxonResult(w, p, n, "exact")
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    # tie correction over groups of equal |d|
-    groups = {}
-    for d in nz:
-        groups[abs(d)] = groups.get(abs(d), 0) + 1
-    var -= sum(t ** 3 - t for t in groups.values()) / 48.0
-    if var <= 0:
-        return WilcoxonResult(w, 1.0, n, "normal")
+    # tie correction over groups of equal |d|, which share one midrank; at
+    # least n(n+1)^2/16 > 0 remains, when every |d| ties
+    var -= sum(t ** 3 - t for t in Counter(ranks).values()) / 48.0
     num = max(abs(w - mean) - 0.5, 0.0)
     z = num / math.sqrt(var)
     p = math.erfc(z / math.sqrt(2.0))
-    # keep p strictly positive even when erfc underflows
-    return WilcoxonResult(w, min(max(p, 1e-300), 1.0), n, "normal")
+    # z >= 0, so p <= 1; keep it strictly positive even when erfc underflows
+    return WilcoxonResult(w, max(p, 1e-300), n, "normal")

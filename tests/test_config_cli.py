@@ -265,21 +265,38 @@ class TestRank:
 ], ids=["gen", "rank", "simulate"])
 def test_entropy_seeds_from_os_randomness(tmp_path, capsys, monkeypatch,
                                           command, out):
-    """--entropy writes what --seed writes with the big-endian int of the
-    8 bytes `os.urandom` gives."""
+    """--entropy seeds from the big-endian int of the 8 bytes `os.urandom`
+    gives and prints it on stderr; --seed with that int writes the same."""
     monkeypatch.chdir(tmp_path)
     run_cli(["gen", "ba", "--n", "40", "--m", "2", "--out", "g.txt"], capsys)
     noise = bytes(range(1, 9))
     monkeypatch.setattr(os, "urandom", lambda size: noise[:size])
-    written = []
-    for path, seeding in (("a", ["--entropy"]),
-                          ("b", ["--seed", str(int.from_bytes(noise, "big"))])):
-        code, _, err = run_cli(command + seeding + [out, path], capsys)
-        assert (code, err) == (0, "")
-        target = tmp_path / path
-        written.append({p.name: p.read_bytes() for p in target.iterdir()}
-                       if target.is_dir() else target.read_bytes())
+    code, _, err = run_cli(command + ["--entropy", out, "a"], capsys)
+    assert (code, err) == (0, "seed 72623859790382856 (from --entropy)\n")
+    code, _, err = run_cli(command + ["--seed", err.split()[1], out, "b"],
+                           capsys)
+    assert (code, err) == (0, "")
+    written = [{p.name: p.read_bytes() for p in target.iterdir()}
+               if target.is_dir() else target.read_bytes()
+               for target in (tmp_path / "a", tmp_path / "b")]
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command, table", [
+    (["gen", "ba", "--n", "30", "--m", "2"], "g.txt"),
+    (["rank", "--graph", "g.txt", "--method", "degree"], "r.csv"),
+], ids=["gen", "rank"])
+def test_out_in_missing_directory_names_the_table(tmp_path, capsys,
+                                                  monkeypatch, command, table):
+    """An --out into a missing directory fails naming the path asked for,
+    not the temp file written first, and leaves nothing behind."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("0 1\n0 2\n")
+    path = os.path.join("nodir", table)
+    code, out, err = run_cli(command + ["--out", path], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+    assert os.listdir(tmp_path) == ["g.txt"]
 
 
 @pytest.mark.parametrize("command", [

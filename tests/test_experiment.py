@@ -459,6 +459,12 @@ class TestSummarize:
         with pytest.raises(ValueError, match="c1"):
             summarize(records)
 
+    def test_no_config_with_sn_raises(self):
+        records = [make_record(c, "SQ_1PS", 0, 10) for c in ("c1", "c2")]
+        with pytest.raises(ValueError, match=re.escape(
+                "missing rows: config c1 has no records of strategy SN")):
+            summarize(records)
+
     def test_no_records_raises(self):
         with pytest.raises(ValueError, match="no records"):
             summarize([])

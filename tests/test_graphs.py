@@ -56,6 +56,20 @@ class TestLoadEdgeList:
         g = load_edge_list("x y\ny z")
         assert g.labels == ["x", "y", "z"]
 
+    def test_label_of_a_dropped_self_loop_kept(self):
+        """A label seen only in a self-loop is still a node, with the id of
+        its first appearance."""
+        g = load_edge_list("a a\nb c\nc b\n")
+        assert g.labels == ["a", "b", "c"]
+        assert g.adjacency == [[], [2], [1]]
+        assert (g.dropped_self_loops, g.dropped_duplicates) == (1, 1)
+
+    def test_edge_order_does_not_reach_the_graph(self):
+        g = load_edge_list("0 1\n0 2\n1 2\n")
+        h = load_edge_list("0 1\n1 2\n0 2\n")
+        assert g.labels == h.labels == ["0", "1", "2"]
+        assert g.adjacency == h.adjacency == [[1, 2], [0, 2], [0, 1]]
+
     def test_malformed_line_names_line_number(self):
         with pytest.raises(GraphParseError, match="line 2"):
             load_edge_list("0 1\n0 1 2")

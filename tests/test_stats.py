@@ -200,6 +200,25 @@ class TestWilcoxon:
             assert approx.method == "normal"
             assert abs(exact.p - approx.p) < 0.02
 
+    @pytest.mark.parametrize("magnitudes", [[1.0, 2.5, 3.0], [1.5]],
+                             ids=["few-groups", "all-tied"])
+    def test_normal_matches_scipy_with_ties(self, magnitudes):
+        """Past EXACT_LIMIT the p is scipy's tie-corrected normal
+        approximation with continuity correction, also when every |d| ties
+        (the smallest variance, n(n+1)^2/16)."""
+        from scipy import stats as sps
+
+        rng = random.Random(11)
+        for n in (26, 40, 75):
+            for bias in (0.2, 0.5, 0.8):
+                nz = [rng.choice(magnitudes) *
+                      (1 if rng.random() < bias else -1) for _ in range(n)]
+                res = wilcoxon_signed_rank([0.0, 0.0] + nz)
+                want = sps.wilcoxon(nz, zero_method="wilcox", correction=True,
+                                    method="approx").pvalue
+                assert (res.method, res.n_effective) == ("normal", len(nz))
+                assert res.p == pytest.approx(want, rel=1e-9)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=30),
            st.randoms())
