@@ -10,16 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import random
-import re
 import sys
 from functools import partial
-from typing import List
 
 from .config import ConfigError, load_grid_config_file
-from .diffusion import DiffusionState
 from .experiment import (GridError, GridSpec, grid_ranking, read_records_csv,
-                         run_block, run_grid, summarize, write_records_csv,
-                         write_scatter_csv, write_summary_csv)
+                         run_block, run_grid, summarize, write_mean_curve_csv,
+                         write_records_csv, write_scatter_csv,
+                         write_summary_csv, write_traces_csv)
 from .graphs import (GraphParseError, ParameterError, generate_ba, generate_er,
                      load_edge_list, serialize)
 from .ranking import RankingMethod, write_ranking_csv
@@ -45,6 +43,17 @@ def _load_graph(path: str):
     return g
 
 
+def _naming(path: str, call, *args, **kwargs):
+    """`call(*args, **kwargs)`, whose OSError names the table at `path`, not
+    its temp file."""
+    try:
+        return call(*args, **kwargs)
+    except OSError as exc:
+        exc.filename = path
+        del exc.filename2  # a failed rename names both of its paths
+        raise
+
+
 def _write_tables(tables) -> None:
     """The tables of one command, each `(path, write, table)` written by
     `write(table, fh)` to a temp file beside its path, and renamed only once
@@ -53,15 +62,11 @@ def _write_tables(tables) -> None:
     file."""
     try:
         for path, write, table in tables:
-            try:
-                fh = open(path + ".tmp", "w", encoding="utf-8", newline="")
-            except OSError as exc:  # name the table, not its temp file
-                exc.filename = path
-                raise
-            with fh:
+            with _naming(path, open, path + ".tmp", "w", encoding="utf-8",
+                         newline="") as fh:
                 write(table, fh)
         for path, _, _ in tables:
-            os.replace(path + ".tmp", path)
+            _naming(path, os.replace, path + ".tmp", path)
     except BaseException:
         for path, _, _ in tables:
             if os.path.exists(path + ".tmp"):
@@ -111,21 +116,6 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _trace_csv(trace: DiffusionState, out) -> None:
-    out.write("step,seeds_injected,activated,cumulative_coverage\n")
-    before = 0
-    for step, (cum, injected) in enumerate(zip(trace.cumulative, trace.injected)):
-        out.write(f"{step},{injected},{cum - before - injected},{cum}\n")
-        before = cum
-
-
-def _mean_curve_csv(traces: List[DiffusionState], out) -> None:
-    out.write("step,mean_cumulative_coverage\n")
-    for step in range(max(len(t.cumulative) for t in traces)):
-        mean = sum(t.cumulative_at(step) for t in traces) / len(traces)
-        out.write(f"{step},{mean:.6g}\n")
-
-
 def cmd_simulate(args) -> int:
     """Run one configuration as a one-config grid block, on the grid's
     ranking, so its runs are the grid's records for the graph named after
@@ -144,14 +134,9 @@ def cmd_simulate(args) -> int:
         print(f"derived t_sn = {cfg.t_sn} from {args.runs} SN reference runs")
 
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_tables(
-        [(os.path.join(args.out_dir, f"trace_{run_id:04d}.csv"), _trace_csv,
-          trace) for run_id, trace in enumerate(traces)]
-        + [(os.path.join(args.out_dir, "mean_curve.csv"), _mean_curve_csv,
-            traces)])
-    for name in os.listdir(args.out_dir):  # an earlier run's extra traces
-        if re.fullmatch(r"trace_\d+\.csv", name) and int(name[6:-4]) >= args.runs:
-            os.remove(os.path.join(args.out_dir, name))
+    path = partial(os.path.join, args.out_dir)
+    _write_tables([(path("traces.csv"), write_traces_csv, traces),
+                   (path("mean_curve.csv"), write_mean_curve_csv, traces)])
     mean_c = sum(t.coverage for t in traces) / len(traces)
     mean_t = sum(t.duration for t in traces) / len(traces)
     print(f"{spec.label} on {args.graph}: n={cfg.n}, pp={args.pp:g}, "
@@ -192,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequential seeding simulation lab (IC diffusion model)")
     sub = parser.add_subparsers(dest="command", required=True)
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    seeded.add_argument("--entropy", action="store_true",
-                        help="seed from OS randomness; prints the seed drawn")
+    seed = seeded.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    seed.add_argument("--entropy", action="store_true",
+                      help="seed from OS randomness; prints the seed drawn")
 
     p = sub.add_parser("gen", parents=[seeded],
                        help="generate a synthetic graph edge list")

@@ -19,7 +19,8 @@ Schema (all fields required unless noted):
     }
 
 TSN strategies take their reference duration from each configuration's SN
-block, so "t_sn" is normally omitted.
+block, so "t_sn" is normally omitted. A field outside the schema fails the
+config, so a misspelt one is never silently dropped.
 """
 from __future__ import annotations
 
@@ -37,6 +38,26 @@ from .strategies import StrategySpec
 
 class ConfigError(ValueError):
     """Grid config violates the schema; message names the offending field."""
+
+
+# the fields each object of the schema above may hold: the config, a graph
+# entry of each type, and a strategy object
+_FIELDS = {
+    "config": {"master_seed", "replications", "graphs", "pp", "sp",
+               "rankings", "strategies"},
+    "ba": {"name", "type", "n", "m", "seed"},
+    "er": {"name", "type", "n", "p", "seed"},
+    "edgelist": {"name", "type", "path"},
+    "strategy": {"kind", "k", "t_sn"},
+}
+
+
+def _known_fields(obj: dict, kind: str, where: str) -> None:
+    """Reject the first field of `obj` that an object of `kind` does not
+    hold."""
+    for field in obj:
+        if field not in _FIELDS[kind]:
+            raise ConfigError(f"{where}.{field}: unknown field")
 
 
 def _typed(value, types, where: str):
@@ -64,6 +85,9 @@ def _build_graph(entry: dict, index: int, base_dir: str) -> Tuple[str, Graph]:
         raise ConfigError(f"{where}: expected an object")
     name = _require(entry, "name", str, where)
     kind = _require(entry, "type", str, where)
+    if kind not in ("ba", "er", "edgelist"):
+        raise ConfigError(f"{where}.type: unknown graph type {kind!r}")
+    _known_fields(entry, kind, where)
     if kind == "edgelist":
         path = _require(entry, "path", str, where)
         if not os.path.isabs(path):
@@ -75,8 +99,6 @@ def _build_graph(entry: dict, index: int, base_dir: str) -> Tuple[str, Graph]:
             raise ConfigError(f"{where}: {path}: {exc.strerror}") from None
         except (GraphParseError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{where}: {path}: {exc}") from None
-    if kind not in ("ba", "er"):
-        raise ConfigError(f"{where}.type: unknown graph type {kind!r}")
     n = _require(entry, "n", int, where)
     param = (_require(entry, "m", int, where) if kind == "ba"
              else float(_require(entry, "p", (int, float), where)))
@@ -94,6 +116,7 @@ def _build_strategy(entry, index: int) -> StrategySpec:
         if isinstance(entry, str):
             return StrategySpec.parse(entry)
         if isinstance(entry, dict):
+            _known_fields(entry, "strategy", where)
             kind = _require(entry, "kind", str, where)
             return StrategySpec.parse(kind, **{
                 field: _require(entry, field, int, where)
@@ -109,6 +132,7 @@ def load_grid_config(data, base_dir: str = ".") -> GridSpec:
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
+    _known_fields(data, "config", "config")
     master_seed = _require(data, "master_seed", int, "config")
     replications = _require(data, "replications", int, "config")
     raw_graphs = _require(data, "graphs", list, "config")

@@ -79,11 +79,6 @@ class DiffusionState:
         """`duration` under its former name, for callers not yet moved."""
         return self.duration
 
-    def cumulative_at(self, step: int) -> int:
-        """Cumulative coverage at the end of `step` (0 before step 0)."""
-        cum = self.cumulative
-        return cum[min(step, len(cum) - 1)] if step >= 0 else 0
-
 
 # A live-edge world: live[u] lists, ascending, the neighbors v whose directed
 # edge u -> v succeeded. Any sequence indexable by node works.

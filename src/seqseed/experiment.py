@@ -231,11 +231,11 @@ def _block_records(spec: GridSpec,
     Each config's first record slot and ranking name are found once, and
     `t_reach_csn` and `coverage_at_tsn` are read straight off the state's
     `cumulative`: the first step whose count reaches SN's mean coverage, by
-    bisection since the counts never fall, and the count at t_sn, as
-    `cumulative_at` would give it (t_sn >= 1). The coverage is the last
-    count, and the duration the step before the last, since a final state
-    ends with one quiet step; the forfeit is the budget less the seeds
-    placed."""
+    bisection since the counts never fall, and the count at t_sn (t_sn >=
+    1), the last count if the run ended before it. The coverage is the
+    last count, and the duration the step before the last, since a final
+    state ends with one quiet step; the forfeit is the budget less the
+    seeds placed."""
     name, pp = block
     labels = ["SN"] + [s.label for s in spec.strategies if s.kind != "SN"]
     reps = spec.replications
@@ -537,3 +537,38 @@ def write_scatter_csv(summary: ComparisonSummary, out: TextIO) -> None:
         f"{number[row.mean_coverage]},{number[row.mean_duration]},"
         f"{number[row.coverage_ratio]},{number[row.duration_ratio]}\n"
         for row in summary.per_config))
+
+
+@dataclass(slots=True)
+class TraceRow:
+    run_id: int
+    step: int
+    seeds_injected: int
+    activated: int
+    cumulative_coverage: int
+
+
+@dataclass(slots=True)
+class MeanCurveRow:
+    step: int
+    mean_cumulative_coverage: float
+
+
+def write_traces_csv(states: List[DiffusionState], out: TextIO) -> None:
+    """One row per (run, step), from step 0 to the run's last, with run r
+    read off `states[r]`, in run-id order."""
+    _write_table(out, TraceRow, (
+        f"{r},{step},{injected},{cum - before - injected},{cum}\n"
+        for r, t in enumerate(states) for step, (before, cum, injected)
+        in enumerate(zip([0] + t.cumulative, t.cumulative, t.injected))))
+
+
+def write_mean_curve_csv(states: List[DiffusionState], out: TextIO) -> None:
+    """The mean cumulative coverage of `states` at each step to the longest
+    run's end; a run that has ended counts its final coverage."""
+    last = max(len(t.cumulative) for t in states)
+    steps = zip(*(t.cumulative + [t.coverage] * (last - len(t.cumulative))
+                  for t in states))
+    _write_table(out, MeanCurveRow, (
+        f"{step},{_fmt(sum(counts) / len(states))}\n"
+        for step, counts in enumerate(steps)))

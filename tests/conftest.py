@@ -147,6 +147,13 @@ def first_step_reaching(state, coverage):
     return step if step < len(state.cumulative) else None
 
 
+def cumulative_at(state, step):
+    """Cumulative coverage in `state` at the end of `step` (0 before step
+    0)."""
+    cum = state.cumulative
+    return cum[min(step, len(cum) - 1)] if step >= 0 else 0
+
+
 def configs(spec):
     """The (graph name, pp, sp, ranking method) of every configuration of a
     grid, in config order."""
@@ -280,7 +287,7 @@ def per_config_records(spec):
         records += [RunRecord(cid, name, pp, sp, method.value, label, r,
                               t.coverage, t.duration,
                               first_step_reaching(t, mean_c),
-                              t.cumulative_at(t_sn), n - spent)
+                              cumulative_at(t, t_sn), n - spent)
                     for label, states in runs
                     for r, (t, spent) in enumerate(states)]
     return records

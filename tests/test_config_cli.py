@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from seqseed import cli, experiment
+from seqseed import cli, config, experiment
 from seqseed.cli import main
 from seqseed.config import ConfigError, load_grid_config
 from seqseed.experiment import RECORD_COLUMNS, derive_rng, run_grid
@@ -126,6 +126,34 @@ class TestConfigLoading:
         with pytest.raises(ConfigError) as info:
             load_grid_config(config, base_dir=str(tmp_path))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("replicatoins", 100, "config.replicatoins: unknown field"),
+        ("strategies", ["SN", {"kind": "SQ_TSN", "tsn": 3}],
+         "strategies[1].tsn: unknown field"),
+        ("graphs", [dict(GRID_CONFIG["graphs"][0], p=0.5)],
+         "graphs[0].p: unknown field"),
+        ("graphs", [{"name": "g", "type": "er", "n": 30, "p": 0.1,
+                     "seed": 1, "m": 2}], "graphs[0].m: unknown field"),
+        ("graphs", [{"name": "g", "type": "edgelist", "path": "g.txt",
+                     "seed": 1}], "graphs[0].seed: unknown field"),
+    ], ids=["config", "strategy", "ba-p", "er-m", "edgelist-seed"])
+    def test_unknown_field_named(self, field, value, message):
+        """A field outside the schema fails the config, named by where it
+        is, before any graph is built or read."""
+        with pytest.raises(ConfigError) as info:
+            load_grid_config(dict(GRID_CONFIG, **{field: value}))
+        assert str(info.value) == message
+
+    def test_schema_example_loads(self, tmp_path):
+        """The module docstring's example config, the schema's one
+        statement, holds only fields the loader accepts."""
+        doc = config.__doc__
+        example = json.loads(doc[doc.index("{"):doc.rindex("}") + 1])
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+        spec = load_grid_config(example, base_dir=str(tmp_path))
+        assert [name for name, _ in spec.graphs] == ["ba1000", "er1000",
+                                                      "mynet"]
 
     def test_unknown_ranking(self):
         bad = dict(GRID_CONFIG, rankings=["closeness"])
@@ -282,6 +310,45 @@ def test_entropy_seeds_from_os_randomness(tmp_path, capsys, monkeypatch,
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "ba", "--n", "30", "--m", "2", "--out", "s.txt"],
+    ["rank", "--graph", "g.txt", "--method", "random", "--out", "r.csv"],
+    ["simulate", "--graph", "g.txt", "--strategy", "SN", "--ranking",
+     "random", "--sp", "0.1", "--pp", "0.3", "--out-dir", "sim"],
+], ids=["gen", "rank", "simulate"])
+def test_seed_beside_entropy_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                              command):
+    """--seed and --entropy each choose the master seed, so asking for
+    both exits 2 with argparse's usage error and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("0 1\n0 2\n")
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--seed", "5", "--entropy"])
+    _, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert err.endswith(
+        "error: argument --entropy: not allowed with argument --seed\n")
+    assert os.listdir(tmp_path) == ["g.txt"]
+
+
+@pytest.mark.parametrize("command, table", [
+    (["gen", "ba", "--n", "30", "--m", "2"], "g.txt"),
+    (["rank", "--graph", "g.txt", "--method", "degree"], "r.csv"),
+], ids=["gen", "rank"])
+def test_out_onto_directory_names_the_table(tmp_path, capsys, monkeypatch,
+                                            command, table):
+    """An --out that names a directory fails at the rename naming the path
+    asked for, not the temp file renamed, and removes the temp file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("0 1\n0 2\n")
+    (tmp_path / "d").mkdir()
+    code, out, err = run_cli(command + ["--out", "d"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno 21] Is a directory: 'd'\n"
+    assert sorted(os.listdir(tmp_path)) == ["d", "g.txt"]
+    assert os.listdir(tmp_path / "d") == []
+
+
 @pytest.mark.parametrize("command, table", [
     (["gen", "ba", "--n", "30", "--m", "2"], "g.txt"),
     (["rank", "--graph", "g.txt", "--method", "degree"], "r.csv"),
@@ -367,8 +434,13 @@ class TestSimulate:
              "--runs", "4", "--seed", "9",
              "--out-dir", str(tmp_path / "sim")], capsys)
         assert code == 0
-        sim_cov = [int(p.read_text().splitlines()[-1].split(",")[3])
-                   for p in sorted((tmp_path / "sim").glob("trace_*.csv"))]
+        traces = (tmp_path / "sim" / "traces.csv").read_text()
+        last = {}  # each run's last row, in run-id order
+        for line in traces.splitlines()[1:]:
+            run_id, _, _, _, cov = line.split(",")
+            last[int(run_id)] = int(cov)
+        assert list(last) == [0, 1, 2, 3]
+        sim_cov = list(last.values())
 
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({
@@ -402,22 +474,23 @@ class TestSimulate:
 
 
 # sha256 over the names and bytes of every CSV `seqseed simulate` writes
-# (trace_*.csv and mean_curve.csv) for one kind on a 60-node BA graph; a
+# (traces.csv and mean_curve.csv) for one kind on a 60-node BA graph; a
 # change of it is a change of simulate's output bytes. Re-baselined when the
-# ranking stream became one per (graph, method).
+# ranking stream became one per (graph, method), and when the per-run
+# trace files became one traces.csv with a run_id column.
 PINNED_SIMULATE_SHA256 = {
     "SN":
-        "99e78a4a0f82eb511f1ee840318e99e4ff7601d777e5d07a1dce79fe360612e8",
+        "6743abfe16be067240a101145a639fc45c78b09c1c6eb42f39982c7f79a0badb",
     "SQ_2PS":
-        "79468bbf8af33c1999bef73b350d4ec7e4a9a667b641b027ee32d336cc553e0e",
+        "65dec21bfd0b7495334aed51ae9694ce20d74311b835a0191e877c9d71f460d8",
     "SQ_2PS_R":
-        "832c60a2400d043d3d17977fee1efbee01f594f1226c79da25bcca3e353b45c3",
+        "3c56e3ec9e368da98507499570ef40661d8c6ccd25a15095e90c03211944a950",
     "SQ_2PS_B":
-        "82565400f4bca8001e75b6539687cb595f3ba992fdfee6bdb6e850830c8434e9",
+        "5a5bd394d9f85df561fc036073c75d5a4b1d20c2433381fc437b4ac75a1a41e5",
     "SQ_TSN":
-        "a3af4edb4b234ccc2e3a3bc5c44c84c46d20074ace8944bf395356b855057c64",
+        "78107158aadce5fdce7dc5bef63da5106972274d7b7752560d7a26055ce43c53",
     "SQ_TSN_R":
-        "5fb76de372b284b1e880f36cbe2be14b4542371c641c8233f8a49a6f8d584e3a",
+        "9b67da735b8dd01005e130a9a389a3739056277d6adaddccb3f410c39e43d8d6",
 }
 
 
@@ -434,7 +507,7 @@ def test_simulate_bytes_pinned(tmp_path, capsys, strategy):
         capsys)
     assert code == 0
     paths = sorted((tmp_path / "sim").glob("*.csv"))
-    assert len(paths) == 6  # five traces and the mean curve
+    assert [p.name for p in paths] == ["mean_curve.csv", "traces.csv"]
     digest = hashlib.sha256()
     for p in paths:
         digest.update(p.name.encode() + b"\0" + p.read_bytes())
@@ -450,10 +523,9 @@ def failing_scatter_csv(summary, out):
     raise OSError("disk full")
 
 
-def test_simulate_rerun_leaves_only_its_own_traces(tmp_path, capsys):
-    """A rerun with fewer runs into the same directory removes the earlier
-    run's extra traces, so every trace left is one the mean curve
-    averages."""
+def test_simulate_rerun_replaces_its_tables(tmp_path, capsys):
+    """A rerun with fewer runs into the same directory replaces both
+    tables, so they hold only its runs, as a fresh run's do."""
     gpath = tmp_path / "g.txt"
     run_cli(["gen", "ba", "--n", "40", "--m", "2", "--seed", "3",
              "--out", str(gpath)], capsys)
@@ -466,11 +538,32 @@ def test_simulate_rerun_leaves_only_its_own_traces(tmp_path, capsys):
         assert code == 0
         return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
-    assert len(simulate(4, tmp_path / "sim")) == 5
+    first = simulate(4, tmp_path / "sim")
     again = simulate(2, tmp_path / "sim")
-    assert sorted(again) == ["mean_curve.csv", "trace_0000.csv",
-                             "trace_0001.csv"]
+    assert sorted(again) == ["mean_curve.csv", "traces.csv"]
+    assert again != first
+    assert {line.split(b",")[0] for line in
+            again["traces.csv"].splitlines()[1:]} == {b"0", b"1"}
     assert again == simulate(2, tmp_path / "fresh")
+
+
+def test_simulate_leaves_other_files_alone(tmp_path, capsys):
+    """`simulate` writes its two tables and touches no other file in
+    --out-dir, whatever its name."""
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "ba", "--n", "40", "--m", "2", "--seed", "3",
+             "--out", str(gpath)], capsys)
+    out_dir = tmp_path / "sim"
+    out_dir.mkdir()
+    (out_dir / "trace_0007.csv").write_text("a user's own table\n")
+    code, _, _ = run_cli(
+        ["simulate", "--graph", str(gpath), "--strategy", "SN",
+         "--ranking", "degree", "--sp", "0.1", "--pp", "0.3",
+         "--runs", "2", "--out-dir", str(out_dir)], capsys)
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "mean_curve.csv", "trace_0007.csv", "traces.csv"]
+    assert (out_dir / "trace_0007.csv").read_text() == "a user's own table\n"
 
 
 class TestGridAndSummarize:

@@ -11,7 +11,7 @@ from seqseed.diffusion import (UNTIL_STOP, DiffusionState, activate_seeds,
 from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
                             load_edge_list)
 
-from conftest import components, expected_coverage_exact
+from conftest import components, cumulative_at, expected_coverage_exact
 
 
 class TestActivateSeeds:
@@ -25,7 +25,7 @@ class TestActivateSeeds:
     def test_new_state_holds_step_zero(self, path3):
         st = DiffusionState(path3)
         assert st.cumulative == st.injected == [0] and st.seeds == []
-        assert st.coverage == 0 and st.cumulative_at(0) == 0
+        assert st.coverage == 0 and cumulative_at(st, 0) == 0
 
     def test_inject_nothing_is_noop(self, path3):
         st = DiffusionState(path3)

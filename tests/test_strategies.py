@@ -12,8 +12,8 @@ from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
 from seqseed.ranking import Ranking, RankingMethod, rank
 from seqseed.strategies import StrategySpec, run_on_worlds, run_strategy, seed_count
 
-from conftest import (exact_process_expectation, first_step_reaching,
-                      per_config_states)
+from conftest import (cumulative_at, exact_process_expectation,
+                      first_step_reaching, per_config_states)
 
 
 def degree_ranking(g, seed=0):
@@ -421,7 +421,7 @@ class TestSharedWorlds:
                 reached = [s for s, cs in enumerate(cum) if cs >= c]
                 assert first_step_reaching(t, c) == (
                     reached[0] if reached else None)
-            assert [t.cumulative_at(s) for s in range(-1, len(cum) + 1)] == (
+            assert [cumulative_at(t, s) for s in range(-1, len(cum) + 1)] == (
                 [0] + cum + [cum[-1]])
 
     @pytest.mark.parametrize("edges, order, n", [
