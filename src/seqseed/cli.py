@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
     ranking, so its runs are the grid's records for the graph named after
     the file's stem."""
     g = _load_graph(args.graph)
-    spec = StrategySpec.parse(args.strategy, k=args.k, t_sn=args.t_sn)
+    spec = StrategySpec.parse(args.strategy)
     method = RankingMethod.from_string(args.ranking)
     name = _graph_name(args.graph)
     grid = GridSpec([(name, g)], [args.pp], [args.sp], [method], [spec],
@@ -130,7 +130,7 @@ def cmd_simulate(args) -> int:
     for cfg, label, states in run_block(grid, name, g, args.pp, rankings):
         if label == spec.label:
             traces = states
-    if spec.kind.startswith("SQ_TSN") and spec.t_sn is None:
+    if spec.kind.startswith("SQ_TSN"):
         print(f"derived t_sn = {cfg.t_sn} from {args.runs} SN reference runs")
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -203,10 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run one configuration, emit traces")
     p.add_argument("--graph", required=True)
     p.add_argument("--strategy", required=True,
-                   help="SN, SQ_kPS[_R|_B] (+--k), SQ_TSN[_R], or inline SQ_2PS_R")
-    p.add_argument("--k", type=int)
-    p.add_argument("--t-sn", type=int, dest="t_sn",
-                   help="reference duration; derived from SN runs if omitted")
+                   help="label: SN, SQ_TSN[_R] or SQ_<k>PS[_R|_B], e.g. SQ_2PS_R")
     p.add_argument("--ranking", required=True)
     p.add_argument("--sp", type=float, required=True)
     p.add_argument("--pp", type=float, required=True)

@@ -13,14 +13,13 @@ Schema (all fields required unless noted):
       "pp": [0.05, 0.1],
       "sp": [0.01, 0.05],
       "rankings": ["random", "degree", "degree2", "pagerank", "eigenvector"],
-      "strategies": ["SN", "SQ_1PS", "SQ_1PS_R",
-                     {"kind": "SQ_kPS", "k": 2},
-                     {"kind": "SQ_TSN"}]
+      "strategies": ["SN", "SQ_1PS", "SQ_1PS_R", "SQ_2PS", "SQ_TSN"]
     }
 
-TSN strategies take their reference duration from each configuration's SN
-block, so "t_sn" is normally omitted. A field outside the schema fails the
-config, so a misspelt one is never silently dropped.
+Each strategy is named by its label, the name its records carry: SN,
+SQ_TSN, SQ_TSN_R or SQ_<k>PS[_R|_B]. TSN strategies take their reference
+duration from each configuration's SN block. A field outside the schema
+fails the config, so a misspelt one is never silently dropped.
 """
 from __future__ import annotations
 
@@ -40,15 +39,14 @@ class ConfigError(ValueError):
     """Grid config violates the schema; message names the offending field."""
 
 
-# the fields each object of the schema above may hold: the config, a graph
-# entry of each type, and a strategy object
+# the fields each object of the schema above may hold: the config and a
+# graph entry of each type
 _FIELDS = {
     "config": {"master_seed", "replications", "graphs", "pp", "sp",
                "rankings", "strategies"},
     "ba": {"name", "type", "n", "m", "seed"},
     "er": {"name", "type", "n", "p", "seed"},
     "edgelist": {"name", "type", "path"},
-    "strategy": {"kind", "k", "t_sn"},
 }
 
 
@@ -110,22 +108,6 @@ def _build_graph(entry: dict, index: int, base_dir: str) -> Tuple[str, Graph]:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _build_strategy(entry, index: int) -> StrategySpec:
-    where = f"strategies[{index}]"
-    try:
-        if isinstance(entry, str):
-            return StrategySpec.parse(entry)
-        if isinstance(entry, dict):
-            _known_fields(entry, "strategy", where)
-            kind = _require(entry, "kind", str, where)
-            return StrategySpec.parse(kind, **{
-                field: _require(entry, field, int, where)
-                for field in ("k", "t_sn") if field in entry})
-    except ParameterError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}: expected a name or an object")
-
-
 def load_grid_config(data, base_dir: str = ".") -> GridSpec:
     """Build a GridSpec from parsed JSON (dict) or a JSON string."""
     if isinstance(data, str):
@@ -144,8 +126,12 @@ def load_grid_config(data, base_dir: str = ".") -> GridSpec:
         rankings = [RankingMethod.from_string(r) for r in raw_rankings]
     except ValueError as exc:
         raise ConfigError(f"config.rankings: {exc}") from None
-    raw_strategies = _require(data, "strategies", list, "config")
-    strategies = [_build_strategy(s, i) for i, s in enumerate(raw_strategies)]
+    strategies = []
+    for i, label in enumerate(_require_list(data, "strategies", str, "config")):
+        try:
+            strategies.append(StrategySpec.parse(label))
+        except ParameterError as exc:
+            raise ConfigError(f"config.strategies[{i}]: {exc}") from None
     try:
         return GridSpec(graphs, pp_values, sp_values, rankings, strategies,
                         replications, master_seed)

@@ -97,9 +97,13 @@ def load_edge_list(source) -> Graph:
 
     Labels are mapped to dense ids in first-appearance order. Self-loops and
     duplicate edges are dropped; the counts are kept on the returned graph.
+    One leading UTF-8 byte-order mark (U+FEFF) is dropped, so a file saved
+    with one reads as the same graph.
     """
     # a file is read whole first: its decode error comes before any parse error
     lines = source.splitlines() if isinstance(source, str) else list(source)
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]
     label_ids = {}  # in insertion order, so its keys are the labels by id
     edge_set = set()
     self_loops = 0

@@ -36,23 +36,17 @@ STRATEGY_KINDS = ("SN", "SQ_kPS", "SQ_kPS_R", "SQ_kPS_B", "SQ_TSN", "SQ_TSN_R")
 class StrategySpec:
     kind: str
     k: Optional[int] = None
-    t_sn: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ParameterError(f"unknown strategy kind: {self.kind!r}")
-        for name, value in (("k", self.k), ("t_sn", self.t_sn)):
-            if value is not None and type(value) is not int:
-                raise ParameterError(f"{name} must be an int, got {value!r}")
+        if self.k is not None and type(self.k) is not int:
+            raise ParameterError(f"k must be an int, got {self.k!r}")
         if self.kind.startswith("SQ_kPS"):
             if self.k is None or self.k < 1:
                 raise ParameterError(f"{self.kind} requires k >= 1")
         elif self.k is not None:
             raise ParameterError(f"{self.kind} takes no k parameter")
-        if not self.kind.startswith("SQ_TSN") and self.t_sn is not None:
-            raise ParameterError(f"{self.kind} takes no t_sn parameter")
-        if self.t_sn is not None and self.t_sn < 1:
-            raise ParameterError("t_sn must be >= 1")
 
     @property
     def shares_budgets(self) -> bool:
@@ -68,20 +62,15 @@ class StrategySpec:
         return self.kind
 
     @classmethod
-    def parse(cls, name: str, k: Optional[int] = None,
-              t_sn: Optional[int] = None) -> "StrategySpec":
-        """A spec from a kind (SQ_kPS with k=2) or an inline label (SQ_2PS,
-        kind SQ_kPS with k=2; an explicit k must then equal the label's).
-        The constructor decides which parameters the kind takes: k for the
-        SQ_kPS kinds, t_sn for the SQ_TSN kinds, neither for SN."""
-        kind = name.strip()
-        m = re.fullmatch(r"SQ_(\d+)PS(_R|_B)?", kind)
+    def parse(cls, label: str) -> "StrategySpec":
+        """The spec a label names, the inverse of `label`: SN, SQ_TSN,
+        SQ_TSN_R, or SQ_<k>PS[_R|_B] (kind SQ_kPS[_R|_B] with that k, written
+        without leading zeros)."""
+        label = label.strip()
+        m = re.fullmatch(r"SQ_([1-9]\d*)PS(_R|_B)?", label)
         if m:
-            kind = "SQ_kPS" + (m[2] or "")
-            if k not in (None, int(m[1])):
-                raise ParameterError(f"{m[0]} has k={m[1]}, got k={k}")
-            k = int(m[1]) if k is None else k
-        return cls(kind, k=k, t_sn=t_sn)
+            return cls("SQ_kPS" + (m[2] or ""), k=int(m[1]))
+        return cls(label)
 
 
 def round_half_up(x: float) -> int:
@@ -124,14 +113,13 @@ def _plan(spec: StrategySpec, budgets: List[int],
         raise ParameterError(f"{spec.kind} runs one budget at a time, "
                              f"got {budgets}")
     (n,) = budgets
-    ref = spec.t_sn if spec.t_sn is not None else t_sn
-    if ref is None:
+    if t_sn is None:
         raise ParameterError(f"{spec.kind} needs a reference t_sn")
-    if ref < 1:
+    if t_sn < 1:
         raise ParameterError("t_sn must be >= 1")
     # fewer seeds than stages: one seed per stage, as SQ_1PS; remainder
     # seeds go to the earliest stages
-    stages = min(n, ref)
+    stages = min(n, t_sn)
     base, rem = divmod(n, stages)
     sizes = [base + 1] * rem + [base] * (stages - rem)
     return sizes[:-1], [(stages - 1, n)]
@@ -212,9 +200,10 @@ def run_on_worlds(graph: Graph, ranking: Ranking, spec: StrategySpec,
                   ) -> Dict[int, List[DiffusionState]]:
     """Run a StrategySpec on each live-edge world of `graph` in `worlds` at
     each seed budget in `budgets`, and return, for each budget in ascending
-    order, its final states, one per world in world order. TSN variants
-    take t_sn from the spec or the arg. The budgets are checked and the
-    stages planned once, when it is called.
+    order, its final states, one per world in world order. TSN kinds
+    spread each budget over `t_sn` stages, the reference duration the grid
+    derives from SN. The budgets are checked and the stages planned once,
+    when it is called.
 
     Every kind is a list of stage sizes plus a wait mode: one diffusion step
     per stage, or (`_R`) until diffusion stops. `_B` adds buffering. Every

@@ -213,8 +213,7 @@ def per_config_runs(graph, ranking, spec, n, worlds, t_sn=None):
     elif spec.kind == "SN":
         sizes = [n]
     else:
-        ref = spec.t_sn if spec.t_sn is not None else t_sn
-        stages = min(n, ref)
+        stages = min(n, t_sn)
         base, rem = divmod(n, stages)
         sizes = [base + 1] * rem + [base] * (stages - rem)
     order = ranking.order

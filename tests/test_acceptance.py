@@ -95,9 +95,10 @@ def test_criterion_2_degenerate_exactness():
              "SQ_kPS": StrategySpec("SQ_kPS", k=k),
              "SQ_kPS_R": StrategySpec("SQ_kPS_R", k=k),
              "SQ_kPS_B": StrategySpec("SQ_kPS_B", k=k),
-             "SQ_TSN": StrategySpec("SQ_TSN", t_sn=t_sn),
-             "SQ_TSN_R": StrategySpec("SQ_TSN_R", t_sn=t_sn)}
-    runs = {name: lambda pp, rng, spec=spec: run_strategy(g, r, spec, n, pp, rng)
+             "SQ_TSN": StrategySpec("SQ_TSN"),
+             "SQ_TSN_R": StrategySpec("SQ_TSN_R")}
+    runs = {name: lambda pp, rng, spec=spec: run_strategy(
+                g, r, spec, n, pp, rng, t_sn=t_sn)
             for name, spec in specs.items()}
     stages_kps = math.ceil(n / k)
     expected_t_pp0 = {"SN": 0, "SQ_kPS": stages_kps - 1,
@@ -131,8 +132,8 @@ def test_criterion_3_reduction_identities():
         sn = run_strategy(g, r, StrategySpec("SN"), n, 0.2, random.Random(seed))
         kps = run_strategy(g, r, StrategySpec("SQ_kPS", k=n),
                            n, 0.2, random.Random(seed))
-        tsn = run_strategy(g, r, StrategySpec("SQ_TSN", t_sn=1),
-                           n, 0.2, random.Random(seed))
+        tsn = run_strategy(g, r, StrategySpec("SQ_TSN"),
+                           n, 0.2, random.Random(seed), t_sn=1)
         assert sn == kps
         assert sn == tsn
     report(3, "reduction identities")

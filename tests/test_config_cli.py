@@ -29,7 +29,7 @@ GRID_CONFIG = {
     "pp": [0.1],
     "sp": [0.05],
     "rankings": ["degree"],
-    "strategies": ["SN", "SQ_1PS_R", {"kind": "SQ_TSN"}],
+    "strategies": ["SN", "SQ_1PS_R", "SQ_TSN"],
 }
 
 # 200 nodes at sp = 0.01 give a budget of n = 2 seeds, below k = 3
@@ -85,19 +85,8 @@ class TestConfigLoading:
 
     def test_bad_strategy_named_with_index(self):
         bad = dict(GRID_CONFIG, strategies=["SN", "SQ_QPS"])
-        with pytest.raises(ConfigError, match=r"strategies\[1\]"):
-            load_grid_config(bad)
-
-    @pytest.mark.parametrize("strategy, message", [
-        ({"kind": "SN", "k": 3}, "SN takes no k parameter"),
-        ({"kind": "SQ_2PS", "k": 5}, "SQ_2PS has k=2, got k=5"),
-        ({"kind": "SQ_TSN", "k": 2}, "SQ_TSN takes no k parameter"),
-    ], ids=["SN-k", "label-k-differs", "TSN-k"])
-    def test_parameter_the_kind_does_not_take_named_with_index(
-            self, strategy, message):
-        bad = dict(GRID_CONFIG, strategies=["SN", strategy])
-        with pytest.raises(ConfigError,
-                           match=rf"^strategies\[1\]: {message}$"):
+        with pytest.raises(ConfigError, match=r"^config\.strategies\[1\]: "
+                           r"unknown strategy kind: 'SQ_QPS'$"):
             load_grid_config(bad)
 
     @pytest.mark.parametrize("field, value, where", [
@@ -106,16 +95,11 @@ class TestConfigLoading:
         ("pp", [None], r"config\.pp\[0\]: wrong type NoneType"),
         ("sp", [[0.1]], r"config\.sp\[0\]: wrong type list"),
         ("rankings", [5], r"config\.rankings\[0\]: wrong type int"),
-        ("strategies", ["SN", {"kind": "SQ_kPS", "k": "2"}],
-         r"strategies\[1\]\.k: wrong type str"),
-        ("strategies", ["SN", {"kind": "SQ_kPS", "k": True}],
-         r"strategies\[1\]\.k: wrong type bool"),
-        ("strategies", ["SN", {"kind": "SQ_kPS", "k": 2.0}],
-         r"strategies\[1\]\.k: wrong type float"),
-        ("strategies", [{"kind": "SQ_TSN", "t_sn": True}],
-         r"strategies\[0\]\.t_sn: wrong type bool"),
+        ("strategies", ["SN", "SQ_1PS_R", {"kind": "SQ_TSN"}],
+         r"^config\.strategies\[2\]: wrong type dict$"),
+        ("strategies", ["SN", 2], r"^config\.strategies\[1\]: wrong type int$"),
     ], ids=["pp-bool", "pp-str", "pp-null", "sp-list", "ranking-int",
-            "k-str", "k-bool", "k-float", "t_sn-bool"])
+            "strategy-object", "strategy-int"])
     def test_wrong_entry_type_named(self, field, value, where):
         with pytest.raises(ConfigError, match=where):
             load_grid_config(dict(GRID_CONFIG, **{field: value}))
@@ -129,15 +113,13 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("field, value, message", [
         ("replicatoins", 100, "config.replicatoins: unknown field"),
-        ("strategies", ["SN", {"kind": "SQ_TSN", "tsn": 3}],
-         "strategies[1].tsn: unknown field"),
         ("graphs", [dict(GRID_CONFIG["graphs"][0], p=0.5)],
          "graphs[0].p: unknown field"),
         ("graphs", [{"name": "g", "type": "er", "n": 30, "p": 0.1,
                      "seed": 1, "m": 2}], "graphs[0].m: unknown field"),
         ("graphs", [{"name": "g", "type": "edgelist", "path": "g.txt",
                      "seed": 1}], "graphs[0].seed: unknown field"),
-    ], ids=["config", "strategy", "ba-p", "er-m", "edgelist-seed"])
+    ], ids=["config", "ba-p", "er-m", "edgelist-seed"])
     def test_unknown_field_named(self, field, value, message):
         """A field outside the schema fails the config, named by where it
         is, before any graph is built or read."""
@@ -154,6 +136,7 @@ class TestConfigLoading:
         spec = load_grid_config(example, base_dir=str(tmp_path))
         assert [name for name, _ in spec.graphs] == ["ba1000", "er1000",
                                                       "mynet"]
+        assert [s.label for s in spec.strategies] == example["strategies"]
 
     def test_unknown_ranking(self):
         bad = dict(GRID_CONFIG, rankings=["closeness"])
@@ -238,6 +221,17 @@ class TestRank:
         lines = out.read_text().splitlines()
         assert lines[0] == "node_label,method,score,rank_position"
         assert lines[1].startswith("0,degree,3,0")
+
+    def test_rank_reads_past_a_byte_order_mark(self, tmp_path, capsys):
+        """A triangle saved with a UTF-8 byte-order mark ranks as three
+        nodes, each listed once."""
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("1 2\n2 3\n3 1\n", encoding="utf-8-sig")
+        code, out, _ = run_cli(["rank", "--graph", str(gpath), "--method",
+                                "degree"], capsys)
+        assert code == 0
+        assert sorted(line.split(",")[0] for line in out.splitlines()[1:]) \
+            == ["1", "2", "3"]
 
     def test_rank_order_is_the_grid_ranking(self, tmp_path, capsys):
         """`rank` draws its ties from the grid's ranking stream for the
@@ -406,21 +400,33 @@ class TestSimulate:
         assert code == 0
         assert "derived t_sn" in out
 
-    @pytest.mark.parametrize("strategy, params, message", [
-        ("SN", ["--k", "2"], "SN takes no k parameter"),
-        ("SQ_2PS", ["--k", "5"], "SQ_2PS has k=2, got k=5"),
-        ("SQ_1PS_R", ["--t-sn", "3"], "SQ_kPS_R takes no t_sn parameter"),
-    ], ids=["SN-k", "label-k-differs", "kPS-t_sn"])
-    def test_parameter_the_kind_does_not_take_exits_1(
-            self, tmp_path, capsys, strategy, params, message):
+    @pytest.mark.parametrize("strategy, flag", [
+        ("SQ_2PS", ["--k", "2"]), ("SQ_TSN", ["--t-sn", "3"]),
+    ], ids=["k", "t-sn"])
+    def test_strategy_parameter_flag_is_a_usage_error(
+            self, tmp_path, capsys, strategy, flag):
+        """The label is the one name of a strategy: no flag sets its k or
+        its reference t_sn."""
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("\n".join(f"{i} {i + 1}" for i in range(30)))
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--graph", str(gpath), "--strategy", strategy,
+                  *flag, "--ranking", "degree", "--sp", "0.1", "--pp", "0.3",
+                  "--out-dir", str(tmp_path / "sim")])
+        _, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+        assert not (tmp_path / "sim").exists()
+
+    def test_bad_label_exits_1(self, tmp_path, capsys):
         gpath = tmp_path / "g.txt"
         gpath.write_text("\n".join(f"{i} {i + 1}" for i in range(30)))
         code, out, err = run_cli(
-            ["simulate", "--graph", str(gpath), "--strategy", strategy,
-             *params, "--ranking", "degree", "--sp", "0.1", "--pp", "0.3",
+            ["simulate", "--graph", str(gpath), "--strategy", "SQ_0PS",
+             "--ranking", "degree", "--sp", "0.1", "--pp", "0.3",
              "--out-dir", str(tmp_path / "sim")], capsys)
         assert (code, out) == (1, "")
-        assert err == f"error: {message}\n"
+        assert err == "error: unknown strategy kind: 'SQ_0PS'\n"
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("strategy", ["SN", "SQ_2PS_B", "SQ_TSN_R"])
@@ -795,13 +801,14 @@ class TestGridAndSummarize:
         assert not (tmp_path / "sum").exists()
 
     def test_wrong_entry_type_exits_nonzero(self, tmp_path, capsys):
+        """A strategy is named by its label alone; an object entry fails."""
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(dict(
-            GRID_CONFIG, strategies=["SN", {"kind": "SQ_kPS", "k": True}])))
+            GRID_CONFIG, strategies=["SN", "SQ_1PS_R", {"kind": "SQ_TSN"}])))
         code, _, err = run_cli(["grid", "--config", str(cfg),
                                 "--out-dir", str(tmp_path / "out")], capsys)
         assert code == 1
-        assert err == "error: strategies[1].k: wrong type bool\n"
+        assert err == "error: config.strategies[2]: wrong type dict\n"
         assert not (tmp_path / "out" / "records.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])

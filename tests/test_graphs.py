@@ -56,6 +56,14 @@ class TestLoadEdgeList:
         g = load_edge_list("x y\ny z")
         assert g.labels == ["x", "y", "z"]
 
+    def test_byte_order_mark_dropped(self):
+        """One leading U+FEFF, as a UTF-8 editor saves it, is no part of
+        the first label."""
+        g = load_edge_list("\ufeff1 2\n2 3\n3 1\n")
+        assert g.labels == ["1", "2", "3"]
+        assert g.edge_count == 3
+        assert load_edge_list("\ufeff\ufeff1 2").labels == ["\ufeff1", "2"]
+
     def test_label_of_a_dropped_self_loop_kept(self):
         """A label seen only in a self-loop is still a node, with the id of
         its first appearance."""

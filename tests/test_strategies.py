@@ -61,41 +61,49 @@ class TestStrategySpec:
         with pytest.raises(ParameterError):
             StrategySpec.parse("SQ_kPS")
 
-    @pytest.mark.parametrize("kind, params", [
-        ("SQ_kPS", {"k": "2"}), ("SQ_kPS", {"k": True}), ("SQ_kPS", {"k": 2.0}),
-        ("SQ_TSN", {"t_sn": False}), ("SQ_TSN_R", {"t_sn": "3"}),
-    ], ids=["k-str", "k-bool", "k-float", "t_sn-bool", "t_sn-str"])
-    def test_non_int_parameter_rejected(self, kind, params):
-        (name, value), = params.items()
-        with pytest.raises(ParameterError,
-                           match=f"{name} must be an int, got {value!r}"):
-            StrategySpec(kind, **params)
+    @pytest.mark.parametrize("k", ["2", True, 2.0],
+                             ids=["k-str", "k-bool", "k-float"])
+    def test_non_int_parameter_rejected(self, k):
+        with pytest.raises(ParameterError, match=f"k must be an int, got {k!r}"):
+            StrategySpec("SQ_kPS", k=k)
 
     def test_sn_takes_no_params(self):
         with pytest.raises(ParameterError):
             StrategySpec("SN", k=2)
 
-    @pytest.mark.parametrize("name, params, message", [
-        ("SN", {"k": 2}, "SN takes no k parameter"),
-        ("SN", {"t_sn": 3}, "SN takes no t_sn parameter"),
-        ("SQ_2PS", {"k": 5}, "SQ_2PS has k=2, got k=5"),
-        ("SQ_TSN", {"k": 2}, "SQ_TSN takes no k parameter"),
-        ("SQ_kPS", {"k": 2, "t_sn": 4}, "SQ_kPS takes no t_sn parameter"),
-        ("SQ_QPS", {}, "unknown strategy kind: 'SQ_QPS'"),
-    ], ids=["SN-k", "SN-t_sn", "label-k-differs", "TSN-k", "kPS-t_sn",
-            "unknown"])
-    def test_parse_rejects(self, name, params, message):
-        with pytest.raises(ParameterError, match=message):
-            StrategySpec.parse(name, **params)
+    def test_tsn_takes_no_k(self):
+        for kind in ("SQ_TSN", "SQ_TSN_R"):
+            with pytest.raises(ParameterError,
+                               match=f"^{kind} takes no k parameter$"):
+                StrategySpec(kind, k=2)
 
-    @pytest.mark.parametrize("name, params, spec", [
-        ("SQ_2PS", {"k": 2}, StrategySpec("SQ_kPS", k=2)),
-        ("SQ_TSN", {"t_sn": 3}, StrategySpec("SQ_TSN", t_sn=3)),
-        ("SQ_kPS_R", {"k": 3}, StrategySpec("SQ_kPS_R", k=3)),
-        (" SN ", {}, StrategySpec("SN")),
-    ], ids=["label-same-k", "TSN-t_sn", "kPS_R-k", "SN"])
-    def test_parse_accepts(self, name, params, spec):
-        assert StrategySpec.parse(name, **params) == spec
+    @pytest.mark.parametrize("label, message", [
+        ("SQ_QPS", "unknown strategy kind: 'SQ_QPS'"),
+        ("SQ_0PS", "unknown strategy kind: 'SQ_0PS'"),
+        ("SQ_02PS", "unknown strategy kind: 'SQ_02PS'"),
+        ("SQ_2PS_X", "unknown strategy kind: 'SQ_2PS_X'"),
+        ("SQ_2PS_R_B", "unknown strategy kind: 'SQ_2PS_R_B'"),
+    ], ids=["unknown", "k-zero", "leading-zero", "bad-suffix", "two-suffixes"])
+    def test_parse_rejects(self, label, message):
+        """A label names k >= 1 without leading zeros, and one suffix at
+        most; a kind name with no k is no label (`test_kps_requires_k`)."""
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            StrategySpec.parse(label)
+
+    @pytest.mark.parametrize("label, spec", [
+        ("SN", StrategySpec("SN")),
+        ("SQ_TSN", StrategySpec("SQ_TSN")),
+        ("SQ_TSN_R", StrategySpec("SQ_TSN_R")),
+        ("SQ_1PS", StrategySpec("SQ_kPS", k=1)),
+        ("SQ_3PS_R", StrategySpec("SQ_kPS_R", k=3)),
+        ("SQ_12PS_B", StrategySpec("SQ_kPS_B", k=12)),
+    ], ids=["SN", "TSN", "TSN_R", "kPS-k", "kPS_R-k", "kPS_B-k"])
+    def test_parse_accepts(self, label, spec):
+        """`parse` inverts `label` for every label form, and ignores the
+        space around a label."""
+        assert StrategySpec.parse(label) == spec
+        assert spec.label == label
+        assert StrategySpec.parse(f" {label} ") == spec
 
 
 class TestRunSN:
@@ -235,8 +243,8 @@ class TestRunSqKpsB:
 class TestRunSqTsn:
     def test_stage_sizes_front_loaded(self):
         g = generate_ba(40, 2, random.Random(1))
-        t = run_strategy(g, degree_ranking(g), StrategySpec("SQ_TSN", t_sn=4),
-                         10, 0.0, random.Random(0))
+        t = run_strategy(g, degree_ranking(g), StrategySpec("SQ_TSN"),
+                         10, 0.0, random.Random(0), t_sn=4)
         sizes = [c for c in t.injected if c]
         assert sizes == [3, 3, 2, 2]
 
@@ -245,15 +253,15 @@ class TestRunSqTsn:
         r = degree_ranking(g)
         for seed in range(20):
             a = run_strategy(g, r, StrategySpec("SN"), 6, 0.3, random.Random(seed))
-            b = run_strategy(g, r, StrategySpec("SQ_TSN", t_sn=1),
-                             6, 0.3, random.Random(seed))
+            b = run_strategy(g, r, StrategySpec("SQ_TSN"),
+                             6, 0.3, random.Random(seed), t_sn=1)
             assert a == b
 
     def test_fallback_to_one_per_stage(self):
         g = generate_ba(40, 2, random.Random(1))
         r = degree_ranking(g)
-        a = run_strategy(g, r, StrategySpec("SQ_TSN", t_sn=5),
-                         3, 0.0, random.Random(0))
+        a = run_strategy(g, r, StrategySpec("SQ_TSN"),
+                         3, 0.0, random.Random(0), t_sn=5)
         b = run_strategy(g, r, StrategySpec("SQ_kPS", k=1), 3, 0.0, random.Random(0))
         assert a == b
         assert sum(1 for c in a.injected if c) == 3
@@ -262,8 +270,8 @@ class TestRunSqTsn:
 class TestRunSqTsnR:
     def test_pp_zero_stage_count_steps(self):
         g = generate_ba(40, 2, random.Random(1))
-        t = run_strategy(g, degree_ranking(g), StrategySpec("SQ_TSN_R", t_sn=4),
-                         10, 0.0, random.Random(0))
+        t = run_strategy(g, degree_ranking(g), StrategySpec("SQ_TSN_R"),
+                         10, 0.0, random.Random(0), t_sn=4)
         stages = sum(1 for c in t.injected if c)
         assert stages == 4
         assert len(t.cumulative) - 1 == 4  # each stage lasted exactly one step
@@ -272,8 +280,8 @@ class TestRunSqTsnR:
         g = generate_ba(50, 2, random.Random(3))
         r = degree_ranking(g)
         a = run_strategy(g, r, StrategySpec("SN"), 6, 0.3, random.Random(99))
-        b = run_strategy(g, r, StrategySpec("SQ_TSN_R", t_sn=1),
-                         6, 0.3, random.Random(99))
+        b = run_strategy(g, r, StrategySpec("SQ_TSN_R"),
+                         6, 0.3, random.Random(99), t_sn=1)
         assert a == b
 
 
@@ -286,10 +294,10 @@ class TestBudgetSafetyAcrossStrategies:
                            n, pp, random.Random(seed))
         yield run_strategy(g, r, StrategySpec("SQ_kPS_B", k=2),
                            n, pp, random.Random(seed))
-        yield run_strategy(g, r, StrategySpec("SQ_TSN", t_sn=3),
-                           n, pp, random.Random(seed))
-        yield run_strategy(g, r, StrategySpec("SQ_TSN_R", t_sn=3),
-                           n, pp, random.Random(seed))
+        yield run_strategy(g, r, StrategySpec("SQ_TSN"),
+                           n, pp, random.Random(seed), t_sn=3)
+        yield run_strategy(g, r, StrategySpec("SQ_TSN_R"),
+                           n, pp, random.Random(seed), t_sn=3)
 
     def test_injections_distinct_and_bounded(self):
         g = generate_er(50, 0.08, random.Random(6))
@@ -326,22 +334,11 @@ class TestRunStrategyDispatch:
         with pytest.raises(ParameterError, match="t_sn"):
             run_strategy(g, degree_ranking(g), spec, 4, 0.2, random.Random(0))
 
-    def test_reference_argument_matches_spec(self):
-        # the grid passes a config's t_sn as the argument; a spec's own t_sn
-        # runs the same process on the same rng
-        g = generate_ba(30, 2, random.Random(1))
-        r = degree_ranking(g)
-        for kind in ("SQ_TSN", "SQ_TSN_R"):
-            got = run_strategy(g, r, StrategySpec(kind), 4, 0.2,
-                               random.Random(1), t_sn=2)
-            assert got == run_strategy(g, r, StrategySpec(kind, t_sn=2), 4, 0.2,
-                                       random.Random(1))
 
-
-def all_kinds(k, t_sn):
+def all_kinds(k):
     return [StrategySpec("SN"), StrategySpec("SQ_kPS", k=k),
             StrategySpec("SQ_kPS_R", k=k), StrategySpec("SQ_kPS_B", k=k),
-            StrategySpec("SQ_TSN", t_sn=t_sn), StrategySpec("SQ_TSN_R", t_sn=t_sn)]
+            StrategySpec("SQ_TSN"), StrategySpec("SQ_TSN_R")]
 
 
 def active_set(trace):
@@ -393,7 +390,7 @@ class TestSharedWorlds:
     @given(world_cases())
     def test_every_kind_contains_sn(self, case):
         g, live, r, n, k, t_sn = case
-        kinds = all_kinds(k, t_sn)
+        kinds = all_kinds(k)
         sn, *sequential = [active_set(run_on(g, r, spec, n, live, t_sn))
                            for spec in kinds]
         for spec, active in zip(kinds[1:], sequential):
@@ -403,7 +400,7 @@ class TestSharedWorlds:
     @given(world_cases())
     def test_trace_arrays_consistent(self, case):
         g, live, r, n, k, t_sn = case
-        for spec in all_kinds(k, t_sn):
+        for spec in all_kinds(k):
             t = run_on(g, r, spec, n, live, t_sn)
             cum = t.cumulative
             # one entry per step 0..last; the last step activates nothing,
@@ -438,7 +435,7 @@ class TestSharedWorlds:
         g = load_edge_list(edges)
         r = fixed_ranking(g, order)
         pp = Fraction(1, 3)
-        kinds = all_kinds(1, 2)
+        kinds = all_kinds(1)
         arcs = len(g.arcs[0])
         means = [Fraction(0)] * len(kinds)
         for coins in itertools.product((False, True), repeat=arcs):
@@ -557,7 +554,6 @@ class TestCheckpoints:
         """TSN stage sizes depend on the budget, so no run serves two."""
         g = generate_ba(30, 2, random.Random(1))
         live = sample_world(g, 0.2, random.Random(0))
-        for spec in (StrategySpec("SQ_TSN", t_sn=2),
-                     StrategySpec("SQ_TSN_R", t_sn=2)):
+        for spec in (StrategySpec("SQ_TSN"), StrategySpec("SQ_TSN_R")):
             with pytest.raises(ParameterError, match="one budget at a time"):
-                run_on_worlds(g, degree_ranking(g), spec, [3, 6], [live])
+                run_on_worlds(g, degree_ranking(g), spec, [3, 6], [live], 2)
