@@ -158,7 +158,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    with open(args.records, encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops a leading byte-order mark, as the config loader does
+    with open(args.records, encoding="utf-8-sig", newline="") as fh:
         records = read_records_csv(fh)
     summary = summarize(records)
     os.makedirs(args.out_dir, exist_ok=True)

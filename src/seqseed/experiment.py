@@ -325,14 +325,9 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
     has, a repeated (config_id, strategy, run_id), or a (config_id,
     strategy) whose run ids differ from its SN block's, raises ValueError."""
     by_config: Dict[str, Dict[str, List[RunRecord]]] = {}
-    for rec in records:  # each key looked up first: no dict or list to drop
-        block = by_config.get(rec.config_id)
-        if block is None:
-            block = by_config[rec.config_id] = {}
-        runs = block.get(rec.strategy)
-        if runs is None:
-            runs = block[rec.strategy] = []
-        runs.append(rec)
+    for rec in records:
+        by_config.setdefault(rec.config_id, {}).setdefault(
+            rec.strategy, []).append(rec)
     if not by_config:
         raise ValueError("no records to summarize")
     # SN and every strategy that any config has: each config needs them all
@@ -371,8 +366,7 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
             dur_ratio = mean_t / mean_t_sn if mean_t_sn > 0 else None
             per_config.append(ConfigStrategyRow(cid, strategy, mean_c, mean_t,
                                                 cov_ratio, dur_ratio))
-            if strategy != "SN":
-                run_wins[strategy] += sum(1 for r in runs if r.coverage > mean_c_sn)
+            run_wins[strategy] += sum(1 for r in runs if r.coverage > mean_c_sn)
 
     # every config has every strategy, so each strategy's rows are in config
     # order, row for row beside SN's

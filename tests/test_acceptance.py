@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The desk-scale grid
-(criteria 5 and 6) takes a few minutes; everything else is fast.
+(criteria 5, 6 and 11) takes a few minutes; everything else is fast.
 """
 import io
 import math
@@ -183,7 +183,7 @@ def test_criterion_4_theorem_instance():
     report(4, "theorem instance")
 
 
-# -- criteria 5 and 6: desk-scale grid ---------------------------------------
+# -- criteria 5, 6 and 11: desk-scale grid ---------------------------------
 
 @pytest.fixture(scope="module")
 def desk_grid():
@@ -369,3 +369,66 @@ def test_criterion_9_grid_determinism():
 
     assert run_once() == run_once()
     report(9, "grid determinism")
+
+
+# -- criterion 11 (10 is kept for ROADMAP item 6) ----------------------------
+
+def test_criterion_11_speed_coverage_frontier(desk_grid):
+    """Fewer seeds per stage buy coverage with time (ROADMAP item 13).
+
+    On this grid, each config's mean over its SN mean, averaged over the
+    250 configs:
+
+        k   SQ_kPS coverage  duration   SQ_kPS_R coverage  duration
+        1             1.090      5.02               1.112     11.02
+        2             1.075      2.71               1.107      7.22
+        4             1.056      1.68               1.097      4.74
+        8             1.036      1.24               1.077      3.06
+
+    Each quantity checked is the mean over a scope's configs of each
+    config's own mean. For SQ_kPS and for SQ_kPS_R, mean duration falls
+    strictly as k goes 1 -> 2 -> 4 -> 8 in each of the 10 (graph, pp)
+    cells; its smallest step is 7.3% (er1000, pp 0.25, k 4 -> 8). Mean
+    coverage falls strictly in k for each graph and for the whole grid; its
+    smallest step is 0.42% (er1000, SQ_1PS_R -> SQ_2PS_R). In every cell and
+    for every k, the _R kind is slower and covers at least as much; its
+    smallest coverage margin is 0.05% (er1000, pp 0.05, k 1).
+
+    Coverage in k is not claimed per cell. In er1000's subcritical cells
+    its steps shrink to 0.14% (pp 0.05, SQ_1PS_R -> SQ_2PS_R), and whether
+    100 replications resolve gaps that small is ROADMAP item 8's question.
+    """
+    spec, records, _ = desk_grid
+    means = _config_means(records)
+    cells = {}  # (graph, pp) -> its configs
+    for r in records:
+        cells.setdefault((r.graph, r.pp), set()).add(r.config_id)
+    assert len(cells) == 10
+    scopes = {name: set().union(*(configs for (graph, _), configs
+                                  in cells.items() if graph == name))
+              for name, _ in spec.graphs}
+    scopes["grid"] = set().union(*cells.values())
+
+    def mean(configs, strategy, i):  # i: 0 coverage, 1 duration
+        return sum(means[(c, strategy)][i] for c in configs) / len(configs)
+
+    def falls(values):
+        return all(a > b for a, b in zip(values, values[1:]))
+
+    ks = (1, 2, 4, 8)
+    for suffix in ("", "_R"):
+        labels = [f"SQ_{k}PS{suffix}" for k in ks]
+        for cell, configs in cells.items():
+            durations = [mean(configs, s, 1) for s in labels]
+            assert falls(durations), (cell, suffix, durations)
+        for scope, configs in scopes.items():
+            coverages = [mean(configs, s, 0) for s in labels]
+            assert falls(coverages), (scope, suffix, coverages)
+    for cell, configs in cells.items():
+        for k in ks:
+            plain, revived = (
+                [mean(configs, f"SQ_{k}PS{suffix}", i) for i in (0, 1)]
+                for suffix in ("", "_R"))
+            assert revived[1] > plain[1], (cell, k, revived, plain)
+            assert revived[0] >= plain[0], (cell, k, revived, plain)
+    report(11, "speed-coverage frontier")

@@ -58,6 +58,31 @@ BAD_EDGE_LISTS = {"one-label.txt": b"0 1\n2\n", "no-edges.txt": b"# none\n",
                   "latin-1.txt": b"0 1\n\xe9 2\n"}
 
 
+# each object of the schema: a valid one, where its faults are named, and a
+# value of the wrong type for each of its fields
+SCHEMA_OBJECTS = {
+    "config": (GRID_CONFIG, "config", {
+        "master_seed": "5", "replications": 2.0, "graphs": {}, "pp": 0.1,
+        "sp": None, "rankings": "degree", "strategies": "SN"}),
+    "ba": ({"name": "g", "type": "ba", "n": 40, "m": 2, "seed": 3},
+           "graphs[0]", {"name": 5, "type": 1, "n": "40", "m": 2.0,
+                         "seed": True}),
+    "er": ({"name": "g", "type": "er", "n": 40, "p": 0.1, "seed": 3},
+           "graphs[0]", {"name": None, "type": ["er"], "n": 40.0,
+                         "p": "0.1", "seed": "3"}),
+    "edgelist": ({"name": "g", "type": "edgelist", "path": "g.txt"},
+                 "graphs[0]", {"name": [], "type": None, "path": 5}),
+}
+SCHEMA_FIELDS = [(kind, field) for kind, (obj, _, _) in SCHEMA_OBJECTS.items()
+                 for field in obj]
+SCHEMA_FIELD_IDS = [f"{kind}-{field}" for kind, field in SCHEMA_FIELDS]
+
+
+def as_config(kind, obj):
+    """`obj` as a whole config: itself, or a graph entry's one graph."""
+    return obj if kind == "config" else dict(GRID_CONFIG, graphs=[obj])
+
+
 def bad_graph_config(tmp_path, entry, message):
     """A grid config holding `entry` as its one graph, beside the edge
     lists of BAD_EDGE_LISTS, and the message it fails with."""
@@ -125,6 +150,78 @@ class TestConfigLoading:
         is, before any graph is built or read."""
         with pytest.raises(ConfigError) as info:
             load_grid_config(dict(GRID_CONFIG, **{field: value}))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind, field", SCHEMA_FIELDS,
+                             ids=SCHEMA_FIELD_IDS)
+    def test_each_missing_field_named(self, kind, field):
+        obj, where, _ = SCHEMA_OBJECTS[kind]
+        bad = {k: v for k, v in obj.items() if k != field}
+        with pytest.raises(ConfigError) as info:
+            load_grid_config(as_config(kind, bad))
+        assert str(info.value) == f"{where}: missing field {field!r}"
+
+    @pytest.mark.parametrize("kind, field", SCHEMA_FIELDS,
+                             ids=SCHEMA_FIELD_IDS)
+    def test_each_wrong_field_type_named(self, kind, field):
+        obj, where, wrong = SCHEMA_OBJECTS[kind]
+        value = wrong[field]
+        with pytest.raises(ConfigError) as info:
+            load_grid_config(as_config(kind, dict(obj, **{field: value})))
+        assert str(info.value) == (f"{where}.{field}: wrong type "
+                                   f"{type(value).__name__}")
+
+    @pytest.mark.parametrize("data, message", [
+        (dict(GRID_CONFIG, graphs=[["ba", 40]]),
+         "graphs[0]: expected an object"),
+        (dict(GRID_CONFIG, graphs=[dict(GRID_CONFIG["graphs"][0], type="ws")]),
+         "graphs[0].type: unknown graph type 'ws'"),
+        ([GRID_CONFIG], "config root must be an object"),
+        ('"grid"', "config root must be an object"),
+    ], ids=["entry-list", "graph-type", "root-list", "root-str"])
+    def test_malformed_object_named(self, data, message):
+        with pytest.raises(ConfigError) as info:
+            load_grid_config(data)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_integer_p_builds_the_float_graph(self, p):
+        def adjacency(p):
+            entry = {"name": "g", "type": "er", "n": 30, "p": p, "seed": 1}
+            (_, g), = load_grid_config(dict(GRID_CONFIG,
+                                            graphs=[entry])).graphs
+            return g.adjacency
+
+        assert adjacency(p) == adjacency(float(p))
+
+    def test_absolute_edge_list_path_outside_base_dir(self, tmp_path):
+        edges = tmp_path / "edges" / "g.txt"
+        edges.parent.mkdir()
+        edges.write_text("a b\nb c\n")
+        (tmp_path / "configs").mkdir()
+        spec = load_grid_config(
+            dict(GRID_CONFIG, graphs=[{"name": "g", "type": "edgelist",
+                                       "path": str(edges)}]),
+            base_dir=str(tmp_path / "configs"))
+        (name, g), = spec.graphs
+        assert (name, g.labels, g.edge_count) == ("g", ["a", "b", "c"], 2)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("pp", ["0.1"], "config.pp[0]: wrong type str"),
+        ("rankings", ["closeness"],
+         "config.rankings: unknown ranking method: 'closeness'"),
+        ("strategies", ["SN", "SQ_QPS"],
+         "config.strategies[1]: unknown strategy kind: 'SQ_QPS'"),
+    ], ids=["pp", "rankings", "strategies"])
+    def test_config_fault_named_before_graphs_are_built(self, tmp_path, field,
+                                                        value, message):
+        """A fault of the config object is named, not the graph entry
+        whose edge list is missing: no graph is built or read first."""
+        bad = dict(GRID_CONFIG, graphs=[{"name": "g", "type": "edgelist",
+                                         "path": "missing.txt"}],
+                   **{field: value})
+        with pytest.raises(ConfigError) as info:
+            load_grid_config(bad, base_dir=str(tmp_path))
         assert str(info.value) == message
 
     def test_schema_example_loads(self, tmp_path):
@@ -810,6 +907,41 @@ class TestGridAndSummarize:
         assert code == 1
         assert err == "error: config.strategies[2]: wrong type dict\n"
         assert not (tmp_path / "out" / "records.csv").exists()
+
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        """A config saved with a UTF-8 byte-order mark runs as the same
+        config saved without one."""
+        text = json.dumps(GRID_CONFIG).encode()
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            (tmp_path / f"{name}.json").write_bytes(data)
+            code, _, err = run_cli(["grid", "--config",
+                                    str(tmp_path / f"{name}.json"),
+                                    "--out-dir", str(tmp_path / name)], capsys)
+            assert (code, err) == (0, "")
+        assert ((tmp_path / "bom" / "records.csv").read_bytes()
+                == (tmp_path / "plain" / "records.csv").read_bytes())
+
+    def test_records_with_byte_order_mark(self, tmp_path, capsys):
+        """A records CSV saved with a UTF-8 byte-order mark summarizes as
+        the same CSV saved without one."""
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(GRID_CONFIG))
+        code, _, _ = run_cli(["grid", "--config", str(cfg),
+                              "--out-dir", str(tmp_path / "plain")], capsys)
+        assert code == 0
+        records = (tmp_path / "plain" / "records.csv").read_bytes()
+        (tmp_path / "bom").mkdir()
+        (tmp_path / "bom" / "records.csv").write_bytes(b"\xef\xbb\xbf"
+                                                       + records)
+        for name in ("plain", "bom"):
+            out = tmp_path / name
+            code, _, err = run_cli(["summarize", "--records",
+                                    str(out / "records.csv"),
+                                    "--out-dir", str(out)], capsys)
+            assert (code, err) == (0, "")
+        for table in ("summary.csv", "ratio_scatter.csv"):
+            assert ((tmp_path / "bom" / table).read_bytes()
+                    == (tmp_path / "plain" / table).read_bytes())
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_nonzero(self, tmp_path, capsys, jobs):
