@@ -9,14 +9,14 @@ called, and returns each budget's final states, one per world. On the same
 world every sequential kind ends with an active set containing SN's, since
 each of SN's top-n nodes is seeded by it or active when its cursor passes.
 
-Every kind runs in one stage loop, `_run_stages`, which ends each budget at
-a checkpoint: after some shared stages, spend what the budget has left and
-wait until diffusion stops. SN has no shared stages, and the SQ_kPS kinds
-cut every budget into stages of k, so one run at the largest budget passes
-every smaller budget's checkpoint. TSN stage sizes depend on the budget, so
-those kinds run one budget at a time. Buffering (`_B`) is the one extra
-rule: a stage injects the inactive nodes among its positions of the order,
-and the checkpoint spends the budget they banked.
+Every kind runs in one stage loop, the per-world loop of `run_on_worlds`,
+which ends each budget at a checkpoint: after some shared stages, spend what
+the budget has left and wait until diffusion stops. SN has no shared stages,
+and the SQ_kPS kinds cut every budget into stages of k, so one run at the
+largest budget passes every smaller budget's checkpoint. TSN stage sizes
+depend on the budget, so those kinds run one budget at a time. Buffering
+(`_B`) is the one extra rule: a stage injects the inactive nodes among its
+positions of the order, and the checkpoint spends the budget they banked.
 """
 from __future__ import annotations
 
@@ -85,11 +85,6 @@ def seed_count(graph: Graph, sp: float) -> int:
     return max(1, round_half_up(sp * graph.node_count))
 
 
-def _check_budget(graph: Graph, n: int) -> None:
-    if not 1 <= n <= graph.node_count:
-        raise ParameterError(f"need 1 <= n <= {graph.node_count}, got {n}")
-
-
 def _plan(spec: StrategySpec, budgets: List[int],
           t_sn: Optional[int]) -> Tuple[List[int], List[Tuple[int, int]]]:
     """The shared stages a run takes for every budget in `budgets`
@@ -140,60 +135,6 @@ def _take(order: List[int], flags: bytearray, cursor: int,
     return batch, cursor
 
 
-def _run_stages(ranking: Ranking, state: DiffusionState, sizes: List[int],
-                until_stop: bool, buffered: bool, live: World,
-                ends: List[Tuple[int, int]],
-                runs: Dict[int, List[DiffusionState]]) -> None:
-    """The stage loop. Inject each stage's batch, then wait one step or until
-    diffusion stops. A batch is the best inactive nodes of the order or,
-    `buffered`, the inactive nodes among the stage's positions of the order,
-    banking the rest. At each budget's checkpoint `(q, n)` from `_plan`,
-    finish n's run: when buffered, inject the inactive nodes among its
-    positions up to n and wait until diffusion stops; then spend what the
-    budget has left on the best inactive nodes, wait until diffusion stops,
-    and append the final state to `runs[n]`.
-
-    One rule keeps the kernel calls to those that can change a state:
-    `advance` is called only with seeds to inject or a frontier to step, and
-    `_take` only while the budget has seeds left to place. So a stage with an
-    empty batch and no frontier makes no call, and a buffered checkpoint
-    that banked nothing spends nothing.
-
-    The last budget finishes on `state` itself and any other on a copy, so
-    the loop goes on from its checkpoint. Once every node is active, the
-    later batches are empty; a budget forfeits what it could not place.
-    """
-    order = ranking.order
-    flags = state.flags
-    wait = UNTIL_STOP if until_stop else 1
-    cursor = 0  # nodes before it are active forever, so it is monotone
-    e = 0
-    for q in range(len(sizes) + 1):
-        while e < len(ends) and ends[e][0] == q:
-            n = ends[e][1]
-            e += 1
-            final = state.copy() if e < len(ends) else state
-            if buffered:
-                batch = [v for v in order[cursor:n] if not final.flags[v]]
-                if batch or final.frontier:
-                    advance(final, live, UNTIL_STOP, batch)
-            left = n - len(final.seeds)
-            batch = _take(order, final.flags, cursor, left)[0] if left else []
-            if batch or final.frontier:
-                advance(final, live, UNTIL_STOP, batch)
-            runs[n].append(final)
-        if e == len(ends):
-            return
-        if buffered:
-            end = cursor + sizes[q]
-            batch = [v for v in order[cursor:end] if not flags[v]]
-            cursor = end
-        else:
-            batch, cursor = _take(order, flags, cursor, sizes[q])
-        if batch or state.frontier:
-            advance(state, live, wait, batch)
-
-
 def run_on_worlds(graph: Graph, ranking: Ranking, spec: StrategySpec,
                   budgets: Sequence[int], worlds: Iterable[World],
                   t_sn: Optional[int] = None
@@ -209,17 +150,52 @@ def run_on_worlds(graph: Graph, ranking: Ranking, spec: StrategySpec,
     per stage, or (`_R`) until diffusion stops. `_B` adds buffering. Every
     kind but SQ_TSN and SQ_TSN_R takes any number of budgets and runs once
     per world, each budget a checkpoint of that run; TSN kinds take one.
+
+    The stage loop injects each stage's batch, then waits one step or until
+    diffusion stops. A batch is the best inactive nodes of the order or,
+    buffered, the inactive nodes among the stage's positions of the order,
+    banking the rest. At each budget's checkpoint `(q, n)` from `_plan`, it
+    finishes n's run: when buffered, it injects the inactive nodes among its
+    positions up to n and waits until diffusion stops; then it spends what
+    the budget has left on the best inactive nodes and waits until diffusion
+    stops. The last budget finishes on the world's state itself and any
+    other on a copy, so the loop goes on from its checkpoint.
     """
     budgets = sorted(set(budgets))
+    if not budgets:
+        raise ParameterError("need at least one budget")
     for n in budgets:
-        _check_budget(graph, n)
+        if not 1 <= n <= graph.node_count:
+            raise ParameterError(f"need 1 <= n <= {graph.node_count}, got {n}")
     sizes, ends = _plan(spec, budgets, t_sn)
-    until_stop = spec.kind.endswith("_R")
+    order = ranking.order
+    wait = UNTIL_STOP if spec.kind.endswith("_R") else 1
     buffered = spec.kind == "SQ_kPS_B"
     runs: Dict[int, List[DiffusionState]] = {n: [] for n in budgets}
     for live in worlds:
-        _run_stages(ranking, DiffusionState(graph), sizes, until_stop,
-                    buffered, live, ends, runs)
+        state = DiffusionState(graph)
+        flags = state.flags
+        cursor = 0  # nodes before it are active forever, so it is monotone
+        done = 0  # stages taken
+        for stop, n in ends:
+            for size in sizes[done:stop]:
+                if buffered:
+                    end = cursor + size
+                    batch = [v for v in order[cursor:end] if not flags[v]]
+                    cursor = end
+                else:
+                    batch, cursor = _take(order, flags, cursor, size)
+                # after saturation, each stage would call advance for nothing
+                if batch or state.frontier:
+                    advance(state, live, wait, batch)
+            done = stop
+            final = state if n == budgets[-1] else state.copy()
+            if buffered:
+                advance(final, live, UNTIL_STOP,
+                        [v for v in order[cursor:n] if not final.flags[v]])
+            batch = _take(order, final.flags, cursor, n - len(final.seeds))[0]
+            advance(final, live, UNTIL_STOP, batch)
+            runs[n].append(final)
     return runs
 
 

@@ -10,7 +10,8 @@ from seqseed.diffusion import advance, sample_world
 from seqseed.graphs import (Graph, ParameterError, generate_ba, generate_er,
                             load_edge_list)
 from seqseed.ranking import Ranking, RankingMethod, rank
-from seqseed.strategies import StrategySpec, run_on_worlds, run_strategy, seed_count
+from seqseed.strategies import (StrategySpec, _plan, run_on_worlds,
+                                run_strategy, seed_count)
 
 from conftest import (cumulative_at, exact_process_expectation,
                       first_step_reaching, per_config_states)
@@ -334,6 +335,36 @@ class TestRunStrategyDispatch:
         with pytest.raises(ParameterError, match="t_sn"):
             run_strategy(g, degree_ranking(g), spec, 4, 0.2, random.Random(0))
 
+    @pytest.mark.parametrize("label", ["SN", "SQ_2PS", "SQ_2PS_R", "SQ_2PS_B",
+                                       "SQ_TSN", "SQ_TSN_R"])
+    def test_empty_budget_list_rejected(self, label):
+        """Every kind fails one way on no budgets, before any plan."""
+        g = generate_ba(30, 2, random.Random(1))
+        live = sample_world(g, 0.2, random.Random(0))
+        with pytest.raises(ParameterError, match="at least one budget"):
+            run_on_worlds(g, degree_ranking(g), StrategySpec.parse(label), [],
+                          [live], 2)
+
+
+class TestPlan:
+    """`_plan`'s shared stage sizes and each budget's checkpoint `(q, n)`:
+    after q shared stages, n's run spends what its budget has left."""
+
+    @pytest.mark.parametrize("label, budgets, t_sn, plan", [
+        # SN: every budget spends all of it at once, before any stage
+        ("SN", [3, 5], None, ([], [(0, 3), (0, 5)])),
+        # a budget that k divides ends after its last full stage; 5 ends
+        # after its two full stages and places its fifth seed at the
+        # checkpoint
+        ("SQ_2PS", [2, 4, 5], None, ([2, 2], [(1, 2), (2, 4), (2, 5)])),
+        # n >= t_sn: t_sn stages, front-loaded, the last at the checkpoint
+        ("SQ_TSN", [10], 4, ([3, 3, 2], [(3, 10)])),
+        # n < t_sn: one seed per stage, as SQ_1PS
+        ("SQ_TSN_R", [3], 5, ([1, 1], [(2, 3)])),
+    ], ids=["SN", "SQ_kPS", "TSN-front-loaded", "TSN-fallback"])
+    def test_plan(self, label, budgets, t_sn, plan):
+        assert _plan(StrategySpec.parse(label), budgets, t_sn) == plan
+
 
 def all_kinds(k):
     return [StrategySpec("SN"), StrategySpec("SQ_kPS", k=k),
@@ -508,36 +539,36 @@ class TestCheckpoints:
     def test_one_take_per_stage_when_k_divides_every_budget(self, case):
         """Each budget that k divides ends right after its last full stage,
         so `_take` runs once per stage of the largest budget's run, plus
-        once at each checkpoint of a budget that forfeits seeds."""
+        once at each checkpoint; no checkpoint repeats a stage."""
         g, live, r, budgets, k = case
         for spec in (StrategySpec("SQ_kPS", k=k),
                      StrategySpec("SQ_kPS_R", k=k)):
             got, _, takes = counted_run(g, r, spec, budgets, live)
-            assert takes == budgets[-1] // k + sum(
-                len(state.seeds) < n for n, state in got), spec.label
+            assert takes == budgets[-1] // k + len(budgets), spec.label
             for n, state in got:
                 assert [state] == list(
                     per_config_states(g, r, spec, n, [live])), (spec.label, n)
 
     @pytest.mark.parametrize("label, budgets, pp, advances, takes", [
-        # one buffered injection per stage and none at a checkpoint: a pp = 0
-        # world leaves no frontier after a stage's step, and every position
-        # inactive to bank nothing
-        ("SQ_2PS_B", [2, 4, 6], 0.0, 3, 0),
-        # one batch per stage; every budget ends after a full stage with
-        # nothing left to place and no frontier
-        ("SQ_1PS", [2, 4, 6], 0.0, 6, 6),
-        ("SQ_1PS_R", [2, 4, 6], 0.0, 6, 6),
-        # the first stage saturates the graph: nothing left to inject or
-        # step, though each later stage and checkpoint looks for a seed
-        ("SQ_1PS_R", [2, 3, 4], 1.0, 1, 7),
+        # one buffered injection per stage, and at each checkpoint one
+        # `advance` for its bank and one `_take` and `advance` for what the
+        # budget has left: on a pp = 0 world every position is inactive, so
+        # both are empty
+        ("SQ_2PS_B", [2, 4, 6], 0.0, 9, 3),
+        # one batch per stage, and one `_take` and `advance` per checkpoint,
+        # though every budget ends after a full stage with nothing to place
+        ("SQ_1PS", [2, 4, 6], 0.0, 9, 9),
+        ("SQ_1PS_R", [2, 4, 6], 0.0, 9, 9),
+        # the first stage saturates the graph, so no later stage calls
+        # `advance`, though each looks for a seed; each checkpoint calls both
+        ("SQ_1PS_R", [2, 3, 4], 1.0, 4, 7),
     ], ids=["buffered-empty-bank", "one-per-stage", "one-per-stage-R",
             "saturated"])
-    def test_kernel_called_only_when_it_changes_the_state(
+    def test_kernel_calls_per_stage_and_checkpoint(
             self, label, budgets, pp, advances, takes):
-        """`advance` is called only with seeds to inject or a frontier to
-        step, and `_take` only while the budget has seeds left to place;
-        every yielded state is still the per-budget run's."""
+        """A stage calls `advance` only with seeds to inject or a frontier
+        to step, and a checkpoint calls `_take` and then `advance` once
+        each; every yielded state is still the per-budget run's."""
         g = generate_ba(12, 2, random.Random(3))
         live = sample_world(g, pp, random.Random(0))
         r = degree_ranking(g)
