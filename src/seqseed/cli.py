@@ -13,7 +13,7 @@ import random
 import sys
 from functools import partial
 
-from .config import ConfigError, load_grid_config_file
+from .config import load_grid_config_file
 from .experiment import (GridError, GridSpec, grid_ranking, read_records_csv,
                          run_block, run_grid, summarize, write_mean_curve_csv,
                          write_records_csv, write_scatter_csv,
@@ -126,6 +126,7 @@ def cmd_simulate(args) -> int:
     name = _graph_name(args.graph)
     grid = GridSpec([(name, g)], [args.pp], [args.sp], [method], [spec],
                     args.runs, _seed_from(args))
+    grid.check_budgets()
     rankings = {(name, method): grid_ranking(grid.master_seed, name, g, method)}
     for cfg, label, states in run_block(grid, name, g, args.pp, rankings):
         if label == spec.label:
@@ -231,8 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GraphParseError, GridError, ParameterError,
-            ValueError, OSError) as exc:
+    except (GridError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -165,7 +165,9 @@ def run_block(spec: GridSpec, graph_name: str, graph: Graph, pp: float,
               ) -> Iterator[Tuple[BlockConfig, str, List[DiffusionState]]]:
     """Run every configuration of the (graph, pp) block on its worlds,
     yielding `(config, strategy label, final states)`, one state per world
-    in run-id order.
+    in run-id order. Each (config, strategy) is yielded once, and within
+    one config SN comes first and then the other strategies in spec order:
+    the records' order, stated only here, which `_block_records` keeps.
 
     Per ranking, read from `rankings` (keyed by (graph name, method), as
     `grid_ranking` builds them; never written), the configs are grouped by
@@ -224,11 +226,11 @@ def _block_records(spec: GridSpec,
                    rankings: Dict[Tuple[str, RankingMethod], Ranking],
                    block: Tuple[str, float]) -> List[RunRecord]:
     """The records of one (graph, pp) block, in config order: configs by
-    sp, then ranking; within one, SN and then the strategies as listed;
-    within one, by run id. Each (config, strategy) of `run_block` fills its
-    `replications` slots from its list of final states, run r in slot r.
+    sp, then ranking; within one, in the order `run_block` yields its
+    strategies; within one, by run id. Each config's records gather in one
+    list, keyed by its id beside its ranking name, and the lists are joined
+    in config order.
 
-    Each config's first record slot and ranking name are found once, and
     `t_reach_csn` and `coverage_at_tsn` are read straight off the state's
     `cumulative`: the first step whose count reaches SN's mean coverage, by
     bisection since the counts never fall, and the count at t_sn (t_sn >=
@@ -237,28 +239,21 @@ def _block_records(spec: GridSpec,
     state ends with one quiet step; the forfeit is the budget less the
     seeds placed."""
     name, pp = block
-    labels = ["SN"] + [s.label for s in spec.strategies if s.kind != "SN"]
-    reps = spec.replications
-    column = {label: i * reps for i, label in enumerate(labels)}
-    width = len(labels) * reps
-    slots = {config_id(name, pp, sp, method): (i * width, method.value)
-             for i, (sp, method)
-             in enumerate(product(spec.sp_values, spec.rankings))}
-    records: List[Optional[RunRecord]] = [None] * (len(slots) * width)
+    table = {config_id(name, pp, sp, method): (method.value, [])
+             for sp, method in product(spec.sp_values, spec.rankings)}
     for cfg, label, states in run_block(spec, name, dict(spec.graphs)[name],
                                         pp, rankings):
-        base, ranking = slots[cfg.cid]
-        base += column[label]
+        ranking, records = table[cfg.cid]
         for r, state in enumerate(states):
             cum = state.cumulative
             last = len(cum) - 1
             reach = bisect_left(cum, cfg.mean_c_sn)
-            records[base + r] = RunRecord(
+            records.append(RunRecord(
                 cfg.cid, name, pp, cfg.sp, ranking, label, r,
                 cum[last], last - 1, reach if reach <= last else None,
                 cum[cfg.t_sn if cfg.t_sn < last else last],
-                cfg.n - len(state.seeds))
-    return records
+                cfg.n - len(state.seeds)))
+    return [rec for _, records in table.values() for rec in records]
 
 
 def _grid_records(spec: GridSpec, tasks: Callable) -> List[RunRecord]:

@@ -526,6 +526,19 @@ class TestSimulate:
         assert err == "error: unknown strategy kind: 'SQ_0PS'\n"
         assert not (tmp_path / "sim").exists()
 
+    def test_k_above_seed_budget_named_as_the_grid_names_it(self, tmp_path,
+                                                            capsys):
+        gpath = tmp_path / "g.txt"  # 30 nodes: sp = 0.1 gives n = 3
+        gpath.write_text("\n".join(f"{i} {i + 1}" for i in range(29)))
+        code, out, err = run_cli(
+            ["simulate", "--graph", str(gpath), "--strategy", "SQ_5PS",
+             "--ranking", "degree", "--sp", "0.1", "--pp", "0.3",
+             "--out-dir", str(tmp_path / "sim")], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: strategy SQ_5PS: k=5 exceeds the seed budget "
+                       "n=3 of graph g at sp=0.1\n")
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("strategy", ["SN", "SQ_2PS_B", "SQ_TSN_R"])
     def test_reproduces_grid_records(self, tmp_path, capsys, strategy):
         gpath = tmp_path / "g.txt"

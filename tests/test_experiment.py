@@ -103,6 +103,30 @@ class TestRunGrid:
         assert set(by_strategy) == {"SN", "SQ_2PS"}
         assert len(by_strategy["SN"]) == len(by_strategy["SQ_2PS"]) == 4
 
+    def test_run_block_yields_each_config_in_record_order(self):
+        """Each (config, strategy) once, with one state per world, and
+        within one config SN first and then the other strategies in spec
+        order, whatever the order of sp and however budgets are shared."""
+        g = generate_ba(60, 2, random.Random(5))
+        labels = ["SQ_TSN_R", "SQ_2PS_B", "SN", "SQ_1PS"]
+        # budgets 6, 3 and 3: out of ascending order, two sp share one
+        spec = GridSpec([("ba60", g)], [0.2], [0.1, 0.042, 0.05],
+                        [RankingMethod.DEGREE, RankingMethod.RANDOM],
+                        [StrategySpec.parse(s) for s in labels],
+                        replications=3, master_seed=11)
+        assert [seed_count(g, sp) for sp in spec.sp_values] == [6, 3, 3]
+        rankings = {("ba60", m): grid_ranking(11, "ba60", g, m)
+                    for m in spec.rankings}
+        yielded = {}
+        for cfg, label, states in run_block(spec, "ba60", g, 0.2, rankings):
+            assert len(states) == spec.replications
+            yielded.setdefault(cfg.cid, []).append(label)
+        assert sorted(yielded) == sorted(
+            config_id("ba60", 0.2, sp, m)
+            for sp in spec.sp_values for m in spec.rankings)
+        expected = ["SN", "SQ_TSN_R", "SQ_2PS_B", "SQ_1PS"]
+        assert all(order == expected for order in yielded.values())
+
     def test_metrics_within_bounds(self):
         records = run_grid(small_spec([StrategySpec("SQ_kPS_R", k=1)],
                                       replications=5))
