@@ -11,13 +11,15 @@ import argparse
 import os
 import random
 import sys
+from contextlib import closing
 from functools import partial
 
 from .config import load_grid_config_file
-from .experiment import (GridError, GridSpec, grid_ranking, read_records_csv,
-                         run_block, run_grid, summarize, write_mean_curve_csv,
-                         write_records_csv, write_scatter_csv,
-                         write_summary_csv, write_traces_csv)
+from .experiment import (GridError, GridSpec, grid_blocks, grid_ranking,
+                         read_records_csv, run_block, summarize,
+                         write_mean_curve_csv, write_records_csv,
+                         write_scatter_csv, write_summary_csv,
+                         write_traces_csv)
 from .graphs import (GraphParseError, ParameterError, generate_ba, generate_er,
                      load_edge_list, serialize)
 from .ranking import RankingMethod, write_ranking_csv
@@ -150,11 +152,21 @@ def cmd_grid(args) -> int:
     spec = load_grid_config_file(args.config)
     for name, g in spec.graphs:
         _warn_dropped(g, f"graph {name!r}")
-    records = run_grid(spec, jobs=args.jobs)
+    blocks = grid_blocks(spec, jobs=args.jobs)  # a bad --jobs or k fails here
+    count = 0
+
+    def records():
+        """The stream's records, each block counted as it passes."""
+        nonlocal count
+        for block in blocks:
+            count += len(block)
+            yield from block
+
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "records.csv")
-    _write_tables([(path, write_records_csv, records)])
-    print(f"{len(records)} run records -> {path}")
+    with closing(blocks):  # a failed write stops the grid and its pool
+        _write_tables([(path, write_records_csv, records())])
+    print(f"{count} run records -> {path}")
     return 0
 
 

@@ -27,11 +27,12 @@ import io
 import random
 from bisect import bisect_left
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import product
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, TextIO, Tuple)
+from itertools import chain, product
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    TextIO, Tuple)
 
 from .diffusion import DiffusionState, World, sample_world
 from .graphs import Graph, ParameterError
@@ -256,33 +257,45 @@ def _block_records(spec: GridSpec,
     return [rec for _, records in table.values() for rec in records]
 
 
-def _grid_records(spec: GridSpec, tasks: Callable) -> List[RunRecord]:
-    """Rank every (graph, method), then run every (graph, pp) block, each
-    step through `tasks`, a `map` that keeps order."""
-    keys = [(name, method) for name, _ in spec.graphs for method in spec.rankings]
-    rankings = dict(zip(keys, tasks(partial(_ranking, spec), keys)))
-    blocks = [(name, pp) for name, _ in spec.graphs for pp in spec.pp_values]
-    chunks = tasks(partial(_block_records, spec, rankings), blocks)
-    return [rec for chunk in chunks for rec in chunk]
+def grid_blocks(spec: GridSpec, jobs: int = 1) -> Iterator[List[RunRecord]]:
+    """Run the full grid on `jobs` processes, yielding each (graph, pp)
+    block's records as the block completes, in config order. Each (graph,
+    method) is ranked once per grid, by `grid_ranking`, before any block
+    runs; then each block is one task. At jobs > 1 the rankings and the
+    blocks are tasks of one pool, with no more workers than the larger step
+    has tasks, which hands back one block at a time, in order; closing the
+    stream early terminates the pool.
 
-
-def run_grid(spec: GridSpec, jobs: int = 1) -> List[RunRecord]:
-    """Run the full grid on `jobs` processes and return its records in
-    config order. Each (graph, method) is ranked once per grid, by
-    `grid_ranking`, before any block runs; then each (graph, pp) block is
-    one task. At jobs > 1 the rankings and the blocks are pool tasks alike.
-    A k above some configuration's seed budget fails the grid before any
-    run; a failing ranking fails it with a GridError before any block, and
-    a configuration that fails while it runs fails it with a GridError."""
+    A jobs below 1, or a k above some configuration's seed budget, raises
+    here, before the stream starts; a failing ranking fails the stream with
+    a GridError before any block, and a configuration that fails while it
+    runs fails it with a GridError."""
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     spec.check_budgets()
-    if jobs == 1:
-        return _grid_records(spec, map)
-    import multiprocessing  # only here: it adds about 1 MB to a serial run
+    return _blocks(spec, jobs)
 
-    with multiprocessing.Pool(jobs) as pool:
-        return _grid_records(spec, pool.map)
+
+def _blocks(spec: GridSpec, jobs: int) -> Iterator[List[RunRecord]]:
+    """`grid_blocks`' stream, once its arguments are checked."""
+    keys = [(name, method) for name, _ in spec.graphs for method in spec.rankings]
+    blocks = [(name, pp) for name, _ in spec.graphs for pp in spec.pp_values]
+    with ExitStack() as stack:
+        tasks = map
+        if jobs > 1:
+            # only here: it adds about 1 MB to a serial run
+            import multiprocessing
+
+            pool = stack.enter_context(multiprocessing.Pool(
+                min(jobs, max(len(keys), len(blocks)))))
+            tasks = partial(pool.imap, chunksize=1)
+        rankings = dict(zip(keys, tasks(partial(_ranking, spec), keys)))
+        yield from tasks(partial(_block_records, spec, rankings), blocks)
+
+
+def run_grid(spec: GridSpec, jobs: int = 1) -> List[RunRecord]:
+    """`grid_blocks`' records as one list, in config order."""
+    return list(chain.from_iterable(grid_blocks(spec, jobs)))
 
 
 @dataclass(slots=True)
@@ -332,8 +345,10 @@ def summarize(records: Sequence[RunRecord]) -> ComparisonSummary:
     run_wins: Counter = Counter()  # runs above their config's SN mean
     sn_runs = 0  # by the pairing checks, every strategy's run count
 
+    # each config's grouping is let go once its rows are built, so the
+    # grouping and the rows are never both held whole
     for cid in sorted(by_config):
-        block = by_config[cid]
+        block = by_config.pop(cid)
         missing = labels.difference(block)
         if missing:
             raise ValueError(f"missing rows: config {cid} has no records of "

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -781,7 +783,7 @@ class TestGridAndSummarize:
                                 "--out-dir", str(tmp_path / "out")], capsys)
         assert code == 1
         assert "SQ_3PS_R" in err
-        assert not (tmp_path / "out" / "records.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_carriage_return_in_graph_name_exits_nonzero(self, tmp_path,
                                                          capsys):
@@ -816,21 +818,44 @@ class TestGridAndSummarize:
         assert "config ba|pp=0.1|sp=0.05|degree failed: injected failure" in err
         assert not (tmp_path / "out" / "records.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_write_leaves_no_records(self, tmp_path, capsys,
-                                            monkeypatch):
-        """A write that fails partway leaves neither a partial records.csv
-        nor its temp file."""
+                                            monkeypatch, jobs):
+        """A write that fails partway, two of three blocks in, leaves
+        neither a partial records.csv nor its temp file, and no worker of
+        the grid's pool running."""
         def write_records_csv(records, out):
-            experiment.write_records_csv(records[:12], out)
+            experiment.write_records_csv(itertools.islice(records, 12), out)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_records_csv", write_records_csv)
+        cfg = tmp_path / "grid.json"  # three blocks of 6 records
+        cfg.write_text(json.dumps(dict(GRID_CONFIG, pp=[0.1, 0.2, 0.3])))
+        code, out, err = run_cli(["grid", "--config", str(cfg), "--jobs", jobs,
+                                  "--out-dir", str(tmp_path / "out")], capsys)
+        assert (code, out, err) == (1, "", "error: disk full\n")
+        assert os.listdir(tmp_path / "out") == []
+        assert multiprocessing.active_children() == []
+
+    def test_failed_write_stops_the_pool_as_it_fails(self, tmp_path,
+                                                      monkeypatch):
+        """The grid's pool is gone by the time the write's error leaves
+        `seqseed grid`, while its traceback still holds every frame, not
+        only once the error is dropped and the stream collected."""
+        def write_records_csv(records, out):
+            next(records)
             raise OSError("disk full")
 
         monkeypatch.setattr(cli, "write_records_csv", write_records_csv)
         cfg = tmp_path / "grid.json"
-        cfg.write_text(json.dumps(GRID_CONFIG))
-        code, out, err = run_cli(["grid", "--config", str(cfg),
-                                  "--out-dir", str(tmp_path / "out")], capsys)
-        assert (code, out, err) == (1, "", "error: disk full\n")
-        assert os.listdir(tmp_path / "out") == []
+        cfg.write_text(json.dumps(dict(GRID_CONFIG, pp=[0.1, 0.2, 0.3])))
+        args = cli.build_parser().parse_args([
+            "grid", "--config", str(cfg), "--jobs", "2",
+            "--out-dir", str(tmp_path / "out")])
+        with pytest.raises(OSError, match="disk full") as failure:
+            args.func(args)
+        assert multiprocessing.active_children() == []
+        assert failure.tb is not None  # held to here
 
     def test_failed_summary_write_leaves_no_table(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -964,7 +989,7 @@ class TestGridAndSummarize:
                                 "--out-dir", str(tmp_path / "out")], capsys)
         assert code == 1
         assert "jobs must be >= 1" in err
-        assert not (tmp_path / "out" / "records.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"
