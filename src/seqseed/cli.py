@@ -107,7 +107,8 @@ def _graph_name(path: str) -> str:
 
 def cmd_rank(args) -> int:
     """Rank as the grid does: the grid's ranking of the graph named after
-    the file's stem."""
+    the file's stem. A pagerank or eigenvector ranking says on stderr how
+    its power iteration ended."""
     g = _load_graph(args.graph)
     method = RankingMethod.from_string(args.method)
     ranking = grid_ranking(_seed_from(args), _graph_name(args.graph), g, method)
@@ -115,6 +116,10 @@ def cmd_rank(args) -> int:
         _write_tables([(args.out, partial(write_ranking_csv, g), ranking)])
     else:
         write_ranking_csv(g, ranking, sys.stdout)
+    if ranking.iterations is not None:
+        ended = "converged" if ranking.converged else "did not converge"
+        print(f"{method.value}: {ended} in {ranking.iterations} iterations",
+              file=sys.stderr)
     return 0
 
 

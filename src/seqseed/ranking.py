@@ -66,6 +66,11 @@ def pagerank_scores(graph: Graph, damping: float = 0.85, tol: float = 1e-10,
 
     Isolated nodes contribute their mass through the teleport term, so scores
     always sum to 1 within tol.
+
+    Each step is a pull: node v folds its neighbours' shares into one float,
+    from the teleport term, in ascending neighbour order. Adjacency is
+    symmetric and sorted, so this adds the same floats in the same order as
+    pushing each node's share to its neighbours in ascending node order.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
@@ -75,17 +80,20 @@ def pagerank_scores(graph: Graph, damping: float = 0.85, tol: float = 1e-10,
     adj = graph.adjacency
     deg = [len(a) for a in adj]
     is_dangling = [d == 0 for d in deg]
+    deg_or_1 = [d or 1 for d in deg]  # a dangling node's share is never read
     x = [1.0 / n] * n
     base = (1.0 - damping) / n
     for it in range(1, max_iter + 1):
         dangling = sum(compress(x, is_dangling))
         spread = base + damping * dangling / n
-        y = [spread] * n
-        for u in range(n):
-            if deg[u]:
-                share = damping * x[u] / deg[u]
-                for v in adj[u]:
-                    y[v] += share
+        share = list(map(truediv, map(mul, repeat(damping), x), deg_or_1))
+        y = []
+        append = y.append
+        for nbrs in adj:
+            acc = spread
+            for u in nbrs:
+                acc += share[u]
+            append(acc)
         diff = sum(map(abs, map(sub, y, x)))
         x = y
         if diff < tol:
@@ -101,6 +109,12 @@ def eigenvector_scores(graph: Graph, tol: float = 1e-10,
     keeps bipartite graphs from oscillating without changing eigenvectors),
     L2-normalizing each step. Nodes outside the dominant components decay to
     score 0. An edgeless graph gets all-zero scores.
+
+    Each step is a pull: node v folds its neighbours' values into one float,
+    from its own, in ascending neighbour order. Adjacency is symmetric and
+    sorted, so this adds the same floats in the same order as pushing each
+    node's value to its neighbours in ascending node order. The distance
+    between steps, `math.dist`, only decides when to stop.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -110,14 +124,15 @@ def eigenvector_scores(graph: Graph, tol: float = 1e-10,
         return PowerIterationResult([0.0] * n, 0, True)
     x = [1.0 / math.sqrt(n)] * n
     for it in range(1, max_iter + 1):
-        y = list(x)
-        for xu, nbrs in zip(x, adj):
-            for v in nbrs:
-                y[v] += xu
+        y = []
+        append = y.append
+        for acc, nbrs in zip(x, adj):
+            for u in nbrs:
+                acc += x[u]
+            append(acc)
         norm = math.sqrt(sum(map(mul, y, y)))
         y = list(map(truediv, y, repeat(norm)))
-        d = list(map(sub, y, x))
-        dist = math.sqrt(sum(map(mul, d, d)))
+        dist = math.dist(y, x)
         x = y
         if dist < tol:
             return PowerIterationResult(x, it, True)

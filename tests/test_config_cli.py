@@ -8,12 +8,13 @@ import os
 
 import pytest
 
-from seqseed import cli, config, experiment
+from seqseed import cli, config, experiment, ranking
 from seqseed.cli import main
 from seqseed.config import ConfigError, load_grid_config
 from seqseed.experiment import RECORD_COLUMNS, derive_rng, run_grid
 from seqseed.graphs import ParameterError, load_edge_list
-from seqseed.ranking import RankingMethod, rank
+from seqseed.ranking import (PowerIterationResult, RankingMethod, rank,
+                             write_ranking_csv)
 
 from conftest import LiveEdgeFails, recast
 
@@ -360,6 +361,37 @@ class TestRank:
         assert code == 0
         assert err == (f"warning: {gpath}: dropped 1 self-loops and 1 "
                        "duplicate edges\n")
+
+    @pytest.mark.parametrize("method", ["pagerank", "eigenvector"])
+    def test_rank_reports_power_iteration(self, tmp_path, capsys, method):
+        """A power-iteration ranking says on stderr how many iterations it
+        took; the CSV on stdout is the grid ranking's, unchanged."""
+        gpath = tmp_path / "g.txt"
+        run_cli(["gen", "ba", "--n", "60", "--m", "2", "--seed", "3",
+                 "--out", str(gpath)], capsys)
+        code, out, err = run_cli(["rank", "--graph", str(gpath), "--method",
+                                  method], capsys)
+        assert code == 0
+        g = load_edge_list(gpath.read_text())
+        want = experiment.grid_ranking(cli.DEFAULT_SEED, "g", g,
+                                       RankingMethod(method))
+        csv_text = io.StringIO()
+        write_ranking_csv(g, want, csv_text)
+        assert out == csv_text.getvalue()
+        assert want.converged
+        assert err == f"{method}: converged in {want.iterations} iterations\n"
+
+    def test_rank_reports_unconverged_power_iteration(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(ranking, "pagerank_scores", lambda graph:
+                            PowerIterationResult([0.5, 0.5], 1000, False))
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("0 1\n")
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            code, _, err = run_cli(["rank", "--graph", str(gpath), "--method",
+                                    "pagerank"], capsys)
+        assert code == 0
+        assert err == "pagerank: did not converge in 1000 iterations\n"
 
     def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         """A write that fails partway leaves neither a header-only ranking

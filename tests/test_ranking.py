@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from seqseed import ranking
 from seqseed.experiment import derive_rng
-from seqseed.graphs import generate_ba, generate_er, load_edge_list
+from seqseed.graphs import Graph, generate_ba, generate_er, load_edge_list
 from seqseed.ranking import (PowerIterationResult, Ranking, RankingMethod,
                              eigenvector_scores, method_scores,
                              pagerank_scores, rank, write_ranking_csv)
+
+from conftest import push_eigenvector_scores, push_pagerank_scores
 
 
 def cycle(n):
@@ -271,10 +273,58 @@ def test_converged_power_iteration_is_silent(recwarn):
     assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
+# bipartite, disconnected and edgeless graphs, by edge list
+SMALL_GRAPHS = {
+    "star": (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+    "path": (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "K2,3": (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+    "triangle, edge and isolated node": (
+        6, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    "edgeless": (3, []),
+}
+
+
+@st.composite
+def power_graphs(draw):
+    """BA and ER graphs of 1-300 nodes, sparse ER graphs full of isolated
+    and degree-1 nodes, BA graphs with isolated nodes added, and the graphs
+    of SMALL_GRAPHS."""
+    kind = draw(st.sampled_from(["ba", "er", "ba+isolated", "small"]))
+    if kind == "small":
+        return Graph(*SMALL_GRAPHS[draw(st.sampled_from(sorted(SMALL_GRAPHS)))])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 300))
+    if kind == "er":
+        # mean degree 0-6: below 1, most nodes are isolated or degree-1
+        return generate_er(n, min(1.0, draw(st.floats(0.0, 6.0)) / n), rng)
+    m = draw(st.integers(1, 3))
+    g = generate_ba(max(n, m + 1), m, rng)
+    if kind == "ba+isolated":
+        g = Graph(g.node_count + draw(st.integers(1, 20)), g.edges())
+    return g
+
+
+def power_key(result):
+    return (result.iterations, result.converged,
+            [float.hex(s) for s in result.scores])
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_graphs(), st.one_of(st.just(1000), st.integers(1, 8)))
+def test_power_iteration_equals_push_oracle(graph, max_iter):
+    """The pull forms add the same floats in the same order as the push
+    forms they replaced: equal scores to the bit, equal iteration counts
+    and convergence, also when stopped unconverged at a small max_iter."""
+    assert power_key(pagerank_scores(graph, max_iter=max_iter)) \
+        == power_key(push_pagerank_scores(graph, max_iter=max_iter))
+    assert power_key(eigenvector_scores(graph, max_iter=max_iter)) \
+        == power_key(push_eigenvector_scores(graph, max_iter=max_iter))
+
+
 # sha256 of the iteration count and the float.hex scores. From Python 3.12
-# on, sum() of floats is compensated, which changes the eigenvector norms;
-# its 3.12+ digests were computed with the same code under a pure-Python
-# copy of 3.12's summation.
+# on, sum() of floats is compensated, which changes the eigenvector norms.
+# The 3.12+ digests were first computed under a pure-Python copy of 3.12's
+# summation; CPython 3.13.13 reproduces all four, with the pull forms too.
 COMPENSATED_SUM = sys.version_info >= (3, 12)
 PINNED_POWER_SHA256 = {
     ("ba", "pagerank_scores"):
@@ -308,7 +358,8 @@ def test_power_iteration_bits_pinned(name, scorer):
 # grid's ranking stream. Degree and degree2 scores tie on both graphs, so
 # their orders pin the tie-breaks; pagerank and eigenvector scores all
 # differ, so theirs pin the tie-free sort. Computed on Python 3.11; a
-# pure-Python copy of 3.12's compensated float sum gives the same orders.
+# pure-Python copy of 3.12's compensated float sum, and CPython 3.13.13,
+# give the same orders.
 PINNED_RANK_ORDER_SHA256 = {
     ("ba", "random"):
         "116cbc7c1486703bc8e660449a134282fdb070c9aae6d0d043f985a125e06535",
